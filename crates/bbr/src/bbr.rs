@@ -59,8 +59,8 @@ enum State {
 
 /// A BBR-style model-based congestion controller — the workspace's
 /// reference *hybrid* algorithm: every control decision requests a pacing
-/// rate *and* a congestion window, so the engine (simulated
-/// [`pcc_transport::CcSender`] or the real-UDP sender) enforces both
+/// rate *and* a congestion window, so the engine
+/// ([`pcc_transport::CcSender`], simulated or over real UDP) enforces both
 /// simultaneously.
 ///
 /// Faithful to BBR v1's architecture (windowed max-bandwidth filter,

@@ -5,8 +5,7 @@
 //! drives each entry of its `BATCHED_CONFORMANCE` list end-to-end on
 //! 1-RTT aggregated `MeasurementReport`s. This check extracts that list
 //! and, from every `fn register_algorithms` body, each *literal* name
-//! handed to a direct `register*("name", ...)` call — the same extraction
-//! convention as the L005 registry-parity check — and diagnoses any
+//! handed to a direct `register*("name", ...)` call, and diagnoses any
 //! registration whose name is absent from the list. A deliberate gap
 //! (an algorithm that genuinely cannot run batched) is documented
 //! in-place with `// lint: allow(L008) — <reason>` at the registration.

@@ -14,11 +14,9 @@
 //! | L002 | wall-clock-in-sim | no `Instant::now`/`SystemTime` outside the real-time crates |
 //! | L003 | unseeded-randomness | every RNG derives from `SimRng`/seed plumbing |
 //! | L004 | lock-poison | poison recovery via `PoisonError::into_inner`, not `unwrap` |
-//! | L005 | registry-parity | both `install_registry` bodies register the same set |
 //! | L006 | dep-free | every Cargo.toml dependency is an in-workspace path dep |
 //! | L007 | float-total-order | `total_cmp`, never `partial_cmp(..).unwrap()` |
 //! | L008 | batched-conformance | every registered algorithm is batched-certified or carries an allow |
-//! | L009 | unbudgeted-retry | real-datapath timeout loops carry backoff/dead-time budget state |
 //!
 //! Suppression is per-site and accountable: `// lint: allow(L00x) — <reason>`
 //! on (or directly above) the offending line; a missing reason is itself
@@ -29,7 +27,6 @@ pub mod batched;
 pub mod diag;
 pub mod lexer;
 pub mod manifest;
-pub mod parity;
 pub mod rules;
 pub mod suppress;
 pub mod walk;
@@ -44,14 +41,6 @@ use rules::Policy;
 /// (`pcc-udp`) or wall-clock measurement (`pcc-bench`), so their outputs
 /// are outside the determinism contract.
 pub const REAL_TIME_CRATES: &[&str] = &["pcc-udp", "pcc-bench"];
-
-/// The crates whose `install_registry` bodies L005 compares.
-pub const PARITY_CRATES: [&str; 2] = ["pcc-scenarios", "pcc-udp"];
-
-/// Crates held to L009: they retry over real sockets, where an unbudgeted
-/// timeout loop means retrying a dead peer forever (sim runs are bounded
-/// by their horizon, so the rule does not apply there).
-pub const RETRY_BUDGET_CRATES: &[&str] = &["pcc-udp"];
 
 /// Result of a workspace lint run.
 pub struct Report {
@@ -87,44 +76,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         let policy = Policy {
             crate_name: f.crate_name.clone(),
             real_time: REAL_TIME_CRATES.contains(&f.crate_name.as_str()),
-            retry_budget: RETRY_BUDGET_CRATES.contains(&f.crate_name.as_str()),
         };
         diagnostics.extend(lint_source(&f.rel_path, &f.src, &policy));
-    }
-
-    // L005 registry parity: find each side's `install_registry`.
-    let mut sides: Vec<Option<(String, parity::Registrations)>> = vec![None, None];
-    for f in &ws.sources {
-        let Some(slot) = PARITY_CRATES.iter().position(|c| *c == f.crate_name) else {
-            continue;
-        };
-        if let Some(regs) = parity::extract(&lexer::lex(&f.src)) {
-            sides[slot] = Some((f.rel_path.clone(), regs));
-        }
-    }
-    match (&sides[0], &sides[1]) {
-        (Some(a), Some(b)) => {
-            diagnostics.extend(parity::check((&a.0, &a.1), (&b.0, &b.1)));
-        }
-        _ => {
-            for (slot, side) in sides.iter().enumerate() {
-                if side.is_none() {
-                    diagnostics.push(Diagnostic {
-                        id: "L005",
-                        path: "Cargo.toml".to_string(),
-                        line: 1,
-                        col: 1,
-                        message: format!(
-                            "registry-parity anchor lost: no `fn install_registry` found in \
-                             crate `{}` — if it moved or was renamed, update pcc-lint's \
-                             PARITY_CRATES so the cross-datapath check keeps running",
-                            PARITY_CRATES[slot]
-                        ),
-                        help: None,
-                    });
-                }
-            }
-        }
     }
 
     // L008 batched-conformance coverage: locate the BATCHED_CONFORMANCE

@@ -7,15 +7,13 @@
 //! `walk::SKIP_DIRS`), so these deliberate violations never trip the
 //! `--deny-all` CI gate.
 
-use pcc_lint::lexer::lex;
 use pcc_lint::rules::Policy;
-use pcc_lint::{lint_source, manifest, parity};
+use pcc_lint::{lint_source, manifest};
 
 fn det_policy() -> Policy {
     Policy {
         crate_name: "pcc-fixture".to_string(),
         real_time: false,
-        retry_budget: false,
     }
 }
 
@@ -67,33 +65,6 @@ fn l007_float_total_order() {
 }
 
 #[test]
-fn l009_unbudgeted_retry() {
-    // Mirrors the pcc-udp policy: real_time (sockets are its job) and
-    // retry_budget both on. The bare `LossKind::Timeout` in `classify`
-    // fires because the file carries no backoff/budget witness ident;
-    // `LossKind::Detected`, string/comment decoys, and the reasoned
-    // allow in `allowed()` stay silent.
-    let udp_policy = Policy {
-        crate_name: "pcc-udp".to_string(),
-        real_time: true,
-        retry_budget: true,
-    };
-    let mut got: Vec<(&'static str, u32, u32)> =
-        lint_source("l009.rs", include_str!("../fixtures/l009.rs"), &udp_policy)
-            .into_iter()
-            .map(|d| (d.id, d.line, d.col))
-            .collect();
-    got.sort();
-    assert_eq!(got, vec![("L009", 7, 9)]);
-    // The same file under the deterministic-crate policy is clean: the
-    // rule only holds real-datapath retry loops to the budget contract.
-    assert_eq!(
-        triples("l009.rs", include_str!("../fixtures/l009.rs")),
-        Vec::new()
-    );
-}
-
-#[test]
 fn l000_accountable_suppressions() {
     let got = triples("l000.rs", include_str!("../fixtures/l000.rs"));
     // A reasonless allow is L000 *and* suppresses nothing, so the L001
@@ -108,28 +79,6 @@ fn l000_accountable_suppressions() {
             ("L001", 5, 9)
         ]
     );
-}
-
-#[test]
-fn l005_registry_parity() {
-    let full = parity::extract(&lex(include_str!("../fixtures/l005_scenarios.rs")))
-        .expect("side A defines install_registry");
-    let partial = parity::extract(&lex(include_str!("../fixtures/l005_udp.rs")))
-        .expect("side B defines install_registry");
-    let diags = parity::check(("l005_scenarios.rs", &full), ("l005_udp.rs", &partial));
-    // Side B is missing the tcp family call and the alias; both
-    // diagnostics anchor at *its* install_registry.
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    for d in &diags {
-        assert_eq!(
-            (d.id, d.path.as_str(), d.line, d.col),
-            ("L005", "l005_udp.rs", 2, 8)
-        );
-    }
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("pcc_tcp::register_algorithms")));
-    assert!(diags.iter().any(|d| d.message.contains("`reno`")));
 }
 
 #[test]

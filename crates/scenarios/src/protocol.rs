@@ -48,10 +48,11 @@ pub fn batched_reports_forced() -> bool {
 /// `pcc-core`, the seven TCP baselines (plus `-paced` variants) from
 /// `pcc-tcp`, SABUL/PCP from `pcc-rate`, and the BBR-style hybrid from
 /// `pcc-bbr` — into the [`pcc_transport::registry`]. Idempotent and
-/// cheap; called automatically by [`Protocol::build_sender`]. Twin of
-/// `pcc_udp::install_registry` (neither crate can depend on the other
-/// without warping the graph); a new algorithm crate must be added to
-/// BOTH registration lists.
+/// cheap; called automatically by [`Protocol::build_sender`].
+/// `pcc_udp::install_registry` keeps the same list for the real-socket
+/// datapath (neither crate depends on the other); a new algorithm crate
+/// goes into both, and the `registry_parity_*` tests at the workspace
+/// root fail if the two lists register different names.
 pub fn install_registry() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {

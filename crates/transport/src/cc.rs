@@ -16,8 +16,8 @@
 //! * window-based algorithms (the TCPs) call [`Ctx::set_cwnd`];
 //! * hybrid algorithms call both;
 //!
-//! and the one engine ([`crate::sender::CcSender`] in simulation,
-//! `pcc-udp`'s sender on real sockets) enforces whichever combination the
+//! and the one engine ([`crate::sender::CcSender`], in simulation and
+//! under `pcc-udp` on real sockets) enforces whichever combination the
 //! algorithm requested. The same boxed algorithm object runs unchanged on
 //! either datapath.
 //!
@@ -205,9 +205,9 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// Take everything requested so far. Used by engines hosting an
-    /// algorithm outside the simulator (e.g. the real-network UDP sender)
-    /// as well as by [`crate::sender::CcSender`].
+    /// Take everything requested so far. Used by
+    /// [`crate::sender::CcSender`] and by anything else hosting an
+    /// algorithm (the off-path host, algorithm unit tests).
     pub fn drain(&mut self) -> Decisions {
         Decisions {
             rate: self.new_rate.take(),

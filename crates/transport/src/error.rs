@@ -1,9 +1,10 @@
 //! Typed transfer failures shared by both datapaths.
 //!
-//! The simulator engine ([`crate::sender::CcSender`]) and the real-socket
-//! engine (`pcc-udp`) both convert an expired dead-time budget into a
-//! [`TransferError::Stalled`] carrying partial-progress statistics, instead
-//! of retrying a dead peer forever on a capped-backoff timer.
+//! The sender engine ([`crate::sender::CcSender`]) converts an expired
+//! dead-time budget into a stall carrying partial-progress statistics,
+//! instead of retrying a dead peer forever on a capped-backoff timer; the
+//! UDP datapath (`pcc-udp`), which drives the same engine on the wall
+//! clock, reports it as a [`TransferError::Stalled`].
 
 use std::fmt;
 
@@ -42,6 +43,28 @@ impl fmt::Display for TransferError {
 }
 
 impl std::error::Error for TransferError {}
+
+/// The algorithm's `on_start` set neither a pacing rate nor a congestion
+/// window, so the engine has no operating point to enforce. Returned by
+/// [`crate::sender::CcSender::try_start`]; `pcc-udp` wraps it in an
+/// `InvalidInput` `io::Error`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NoOperatingPoint {
+    /// The algorithm's name.
+    pub algorithm: &'static str,
+}
+
+impl fmt::Display for NoOperatingPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "algorithm `{}` set neither a rate nor a cwnd in on_start",
+            self.algorithm
+        )
+    }
+}
+
+impl std::error::Error for NoOperatingPoint {}
 
 #[cfg(test)]
 mod tests {

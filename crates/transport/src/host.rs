@@ -9,9 +9,9 @@
 //! datapath replays into its own [`Ctx`] via [`CcHost::apply_to`].
 //!
 //! [`HostedCc`] is the datapath-side stub: it implements
-//! [`CongestionControl`] itself, so *any* engine (the simulator's
-//! `CcSender`, `pcc-udp`'s real-socket sender) can be pointed at a shared
-//! host without modification — each callback is forwarded to the host and
+//! [`CongestionControl`] itself, so the engine (`CcSender`, in the
+//! simulator or driven over real sockets by `pcc-udp`) can be pointed at a
+//! shared host without modification — each callback is forwarded to the host and
 //! the queued commands are drained straight back. One host can drive all
 //! concurrent transfers of a process (the paper's millions-of-users shape:
 //! flows are cheap slots, the controller is one object).

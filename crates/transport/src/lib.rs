@@ -46,7 +46,7 @@ pub use cc::{
     AckEvent, CcMode, CongestionControl, Ctx, Decisions, Effects, LossEvent, LossKind,
     ReportInterval, ReportMode, SentEvent,
 };
-pub use error::TransferError;
+pub use error::{NoOperatingPoint, TransferError};
 pub use flow::{FlowSize, TransportConfig};
 pub use host::{shared_host, CcHost, Command, HostFlowId, HostedCc, SharedHost};
 pub use receiver::SackReceiver;

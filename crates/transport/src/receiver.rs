@@ -45,6 +45,11 @@ impl SackReceiver {
         self.recv_bytes
     }
 
+    /// Data packets seen, duplicates included.
+    pub fn packets_seen(&self) -> u64 {
+        self.packets_seen
+    }
+
     /// Duplicate packets observed.
     pub fn duplicates(&self) -> u64 {
         self.duplicates

@@ -291,7 +291,7 @@ pub fn register_alias(alias: &str, target: &str) {
 ///
 /// // A minimal algorithm, registered with a one-key schema. (Real
 /// // algorithms register via their crate's `register_algorithms()`,
-/// // installed by `pcc_scenarios::install_registry()` or pcc-udp's twin.)
+/// // installed by `pcc_scenarios::install_registry()` or `pcc_udp`'s.)
 /// struct Fixed(f64);
 /// impl CongestionControl for Fixed {
 ///     fn name(&self) -> &'static str { "fixed" }

@@ -34,6 +34,7 @@ use crate::cc::{
     AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportInterval,
     ReportMode, SentEvent,
 };
+use crate::error::NoOperatingPoint;
 use crate::flow::TransportConfig;
 use crate::report::ReportAggregator;
 use crate::rtt::RttEstimator;
@@ -169,6 +170,8 @@ pub struct CcSender {
     last_progress_at: SimTime,
     /// Consecutive RTO firings since the last forward progress.
     timeouts_since_progress: u64,
+    /// RTO firings over the flow's life.
+    timeouts: u64,
     /// RTO floor resolved at `start()` (mode convention or explicit
     /// override); the resumption path re-seeds the RTT estimator with it.
     resolved_min_rto: SimDuration,
@@ -208,6 +211,7 @@ impl CcSender {
             requested_interval: None,
             last_progress_at: SimTime::ZERO,
             timeouts_since_progress: 0,
+            timeouts: 0,
             resolved_min_rto: RATE_MIN_RTO,
             last_cum_ack: 0,
         }
@@ -231,6 +235,13 @@ impl CcSender {
     /// Total losses the scoreboard has declared.
     pub fn losses(&self) -> u64 {
         self.sb.total_losses()
+    }
+
+    /// RTO firings so far (windowed machinery; each doubles the effective
+    /// RTO until an ACK brings a fresh RTT sample). Pure rate control has
+    /// no RTO timer and reports 0.
+    pub fn timeouts(&self) -> u64 {
+        self.timeouts
     }
 
     fn mss(&self) -> u32 {
@@ -687,6 +698,7 @@ impl CcSender {
         if self.finished || (self.sb.in_flight() == 0 && self.retx_queue.is_empty()) {
             return;
         }
+        self.timeouts += 1;
         self.timeouts_since_progress += 1;
         if let Some(budget) = self.cfg.dead_time_budget {
             let dark = ctx.now.saturating_since(self.last_progress_at);
@@ -752,6 +764,50 @@ impl CcSender {
             }
         }
         self.report_rate(ctx);
+    }
+
+    /// Start the flow: run the algorithm's `on_start` and engage the
+    /// machinery its operating point asks for. Fails if the algorithm set
+    /// neither a rate nor a cwnd; [`Endpoint::start`] is this with the
+    /// error turned into a panic.
+    pub fn try_start(&mut self, ctx: &mut EndpointCtx) -> Result<(), NoOperatingPoint> {
+        // Resolve the feedback path before the first callback so a
+        // `set_report_interval` in `on_start` lands on the right machinery.
+        self.report_mode = self.cfg.report.unwrap_or_else(|| self.cc.report_mode());
+        self.with_cc(ctx, |c, cc| c.on_start(cc));
+        if self.rate_bps.is_none() && self.cwnd_pkts.is_none() {
+            return Err(NoOperatingPoint {
+                algorithm: self.cc.name(),
+            });
+        }
+        // The RTO floor convention differs between user-space rate control
+        // and TCP-style window control; honour an explicit override.
+        let min_rto = self.cfg.min_rto.unwrap_or(if self.windowed() {
+            WINDOWED_MIN_RTO
+        } else {
+            RATE_MIN_RTO
+        });
+        self.resolved_min_rto = min_rto;
+        self.last_progress_at = ctx.now;
+        self.rtt = RttEstimator::new(min_rto, SimDuration::from_secs(120));
+        if let Some(rate) = self.rate_bps {
+            ctx.record_rate(rate);
+            self.arm_pacer(ctx, ctx.now);
+        }
+        if self.windowed() {
+            if !self.paced() {
+                self.report_rate(ctx);
+                self.try_send(ctx);
+            }
+            self.arm_rto(ctx);
+        } else {
+            self.arm_scan(ctx);
+        }
+        if self.batched() {
+            self.agg.begin(ctx.now);
+            self.arm_report(ctx);
+        }
+        Ok(())
     }
 
     // ---- reporting / completion -----------------------------------------
@@ -855,41 +911,8 @@ impl CcSender {
 
 impl Endpoint for CcSender {
     fn start(&mut self, ctx: &mut EndpointCtx) {
-        // Resolve the feedback path before the first callback so a
-        // `set_report_interval` in `on_start` lands on the right machinery.
-        self.report_mode = self.cfg.report.unwrap_or_else(|| self.cc.report_mode());
-        self.with_cc(ctx, |c, cc| c.on_start(cc));
-        assert!(
-            self.rate_bps.is_some() || self.cwnd_pkts.is_some(),
-            "algorithm `{}` set neither a rate nor a cwnd in on_start",
-            self.cc.name()
-        );
-        // The RTO floor convention differs between user-space rate control
-        // and TCP-style window control; honour an explicit override.
-        let min_rto = self.cfg.min_rto.unwrap_or(if self.windowed() {
-            WINDOWED_MIN_RTO
-        } else {
-            RATE_MIN_RTO
-        });
-        self.resolved_min_rto = min_rto;
-        self.last_progress_at = ctx.now;
-        self.rtt = RttEstimator::new(min_rto, SimDuration::from_secs(120));
-        if let Some(rate) = self.rate_bps {
-            ctx.record_rate(rate);
-            self.arm_pacer(ctx, ctx.now);
-        }
-        if self.windowed() {
-            if !self.paced() {
-                self.report_rate(ctx);
-                self.try_send(ctx);
-            }
-            self.arm_rto(ctx);
-        } else {
-            self.arm_scan(ctx);
-        }
-        if self.batched() {
-            self.agg.begin(ctx.now);
-            self.arm_report(ctx);
+        if let Err(e) = self.try_start(ctx) {
+            panic!("{e}");
         }
     }
 
@@ -1707,6 +1730,82 @@ mod tests {
         let tput = report.avg_throughput_mbps(flow, SimTime::from_secs(1), SimTime::from_secs(5));
         // 10-packet initial window over 30 ms RTT ⇒ ~4 Mbps, ack-clocked.
         assert!(tput > 2.0, "static window still moves data: {tput} Mbps");
+    }
+
+    // ---- stale retransmissions --------------------------------------------
+
+    /// One hand-driven callback at `now`: `(seq, retx)` of every data
+    /// packet it sent, and the pace tick it armed, if any.
+    fn drive(
+        s: &mut CcSender,
+        now: SimTime,
+        f: impl FnOnce(&mut CcSender, &mut EndpointCtx),
+    ) -> (Vec<(u64, bool)>, Option<u64>) {
+        let (mut rng, mut actions) = (SimRng::new(0), Vec::new());
+        f(
+            s,
+            &mut EndpointCtx::new(now, FlowId(0), Side::Sender, &mut rng, &mut actions),
+        );
+        let (mut sent, mut pace) = (Vec::new(), None);
+        for a in actions {
+            match a {
+                Action::Send(p) => sent.extend(p.as_data().map(|d| (d.seq, d.retx))),
+                Action::SetTimer { token, .. } if token & !TOKEN_GEN_MASK == TOKEN_PACE => {
+                    pace = Some(token)
+                }
+                _ => {}
+            }
+        }
+        (sent, pace)
+    }
+
+    #[test]
+    fn stale_retransmit_entries_never_cost_a_send_opportunity() {
+        // Seqs 0..5 go out on 1 ms pace ticks. With no RTT sample the RTO
+        // is 1 s, so a scan at 2 s queues all five for retransmission; then
+        // `acked` of them are SACKed, leaving that many stale queue entries.
+        // The very next pace tick must skip them all and send real work:
+        // the one remaining hole, or new data once nothing is missing.
+        for (acked, next) in [(4, (4, true)), (5, (5, false))] {
+            let cfg = CcSenderConfig {
+                transport: TransportConfig {
+                    mss: 1500,
+                    size: FlowSize::Bytes(8 * 1500),
+                },
+                ..Default::default()
+            };
+            let mut s = CcSender::new(cfg, Box::new(FixedRate::new(12e6)));
+            let (_, mut tick) = drive(&mut s, SimTime::ZERO, |s, ctx| s.start(ctx));
+            for k in 0..5 {
+                let token = tick.expect("pacer armed");
+                let (sent, next_tick) = drive(&mut s, SimTime::from_millis(k), |s, ctx| {
+                    s.on_timer(token, ctx)
+                });
+                assert_eq!(sent, vec![(k, false)]);
+                tick = next_tick;
+            }
+            let now = SimTime::from_secs(2);
+            let (sent, _) = drive(&mut s, now, |s, ctx| s.on_timer(TOKEN_SCAN, ctx));
+            assert!(sent.is_empty() && s.losses() == 5, "all five written off");
+            for seq in 0..acked {
+                let info = AckInfo {
+                    acked_seq: seq,
+                    cum_ack: seq + 1,
+                    echo_sent_at: SimTime::from_millis(seq),
+                    recv_at: now,
+                    recv_bytes: 0,
+                    probe_train: None,
+                    of_retx: false,
+                };
+                let ack = Packet::ack(FlowId(0), info, now);
+                assert!(drive(&mut s, now, |s, ctx| s.on_packet(&ack, ctx))
+                    .0
+                    .is_empty());
+            }
+            let token = tick.expect("sixth tick still pending");
+            let (sent, _) = drive(&mut s, now, |s, ctx| s.on_timer(token, ctx));
+            assert_eq!(sent, vec![next], "{acked} stale entries");
+        }
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! The paper ships a user-space prototype on UDT that "can deliver real
 //! data today" (§1). This crate is that shape in Rust, generalized by the
-//! unified control API: a `std::net` UDP sender driven by *any*
-//! [`pcc_transport::CongestionControl`] — the same boxed object that runs
-//! in the simulator — with SACK-scoreboard reliability, plus a
-//! per-datagram-acking receiver. The engine enforces whatever the
-//! algorithm requests: a pacing rate (PCC, SABUL, PCP), a congestion
-//! window (any TCP baseline), or both (paced TCP).
+//! unified control API: *any* [`pcc_transport::CongestionControl`] — the
+//! same boxed object that runs in the simulator — sends real datagrams
+//! over `std::net` UDP sockets. There is no second sender engine here:
+//! [`send_with`] is a wall-clock driver around the simulator's own
+//! [`pcc_transport::CcSender`], and [`receive`] runs the simulator's
+//! [`pcc_transport::SackReceiver`] behind a socket. The engine enforces
+//! whatever the algorithm requests: a pacing rate (PCC, SABUL, PCP), a
+//! congestion window (any TCP baseline), or both (paced TCP, BBR).
 //!
 //! Resolve algorithms by name with [`send_named`] (via the workspace
 //! registry; unknown names are a typed error), hand a constructed

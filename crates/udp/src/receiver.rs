@@ -1,9 +1,16 @@
-//! The UDP receiver: per-datagram SACK generation, like the simulator's
-//! `SackReceiver` but over a real socket.
+//! The UDP receiver: the simulator's [`SackReceiver`] over a real socket.
+//! Every datagram is decoded into a data packet, handed to the receiver
+//! endpoint, and the selective ACK it emits goes back to the sender.
 
-use std::collections::BTreeSet;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::UdpSocket;
 use std::time::Instant;
+
+use pcc_simnet::endpoint::{Action, Endpoint, EndpointCtx};
+use pcc_simnet::ids::{FlowId, Side};
+use pcc_simnet::packet::Packet;
+use pcc_simnet::rng::SimRng;
+use pcc_simnet::time::SimTime;
+use pcc_transport::receiver::SackReceiver;
 
 use crate::wire::{decode, encode_ack, AckPacket, Frame};
 
@@ -19,16 +26,16 @@ pub struct ReceiverReport {
 }
 
 /// Receive `expected_bytes` of payload on `socket`, acking every datagram,
-/// then return. The sender address is learned from the first datagram.
+/// then return. ACKs go to whichever address each datagram came from.
 pub fn receive(socket: &UdpSocket, expected_bytes: u64) -> std::io::Result<ReceiverReport> {
     let start = Instant::now();
     let mut buf = vec![0u8; 65_536];
-    let mut cum_ack = 0u64;
-    let mut ooo: BTreeSet<u64> = BTreeSet::new();
-    let mut report = ReceiverReport::default();
-    let mut peer: Option<SocketAddr> = None;
+    let mut rx = SackReceiver::new();
+    // The receiver draws no randomness; the context just needs a stream.
+    let mut rng = SimRng::new(0);
+    let mut actions = Vec::new();
     socket.set_nonblocking(false)?;
-    while report.unique_bytes < expected_bytes {
+    while rx.recv_bytes() < expected_bytes {
         let (n, from) = match socket.recv_from(&mut buf) {
             Ok(ok) => ok,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -37,26 +44,25 @@ pub fn receive(socket: &UdpSocket, expected_bytes: u64) -> std::io::Result<Recei
         let Some(Frame::Data(h, payload)) = decode(&buf[..n]) else {
             continue;
         };
-        peer.get_or_insert(from);
-        report.datagrams += 1;
-        let fresh = h.seq >= cum_ack && !ooo.contains(&h.seq);
-        if fresh {
-            ooo.insert(h.seq);
-            while ooo.remove(&cum_ack) {
-                cum_ack += 1;
+        // Goodput counts payload bytes, so the packet's size is the payload.
+        let sent_at = SimTime::from_nanos(h.sent_us.saturating_mul(1_000));
+        let pkt = Packet::data(FlowId(0), h.seq, payload.len() as u32, sent_at, h.retx);
+        let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
+        rx.on_packet(
+            &pkt,
+            &mut EndpointCtx::new(now, FlowId(0), Side::Receiver, &mut rng, &mut actions),
+        );
+        for action in actions.drain(..) {
+            if let Action::Send(ack) = action {
+                if let Some(info) = ack.as_ack() {
+                    socket.send_to(&encode_ack(&AckPacket::from_info(info)), from)?;
+                }
             }
-            report.unique_bytes += payload.len() as u64;
-        } else {
-            report.duplicates += 1;
         }
-        let ack = AckPacket {
-            acked_seq: h.seq,
-            cum_ack,
-            echo_sent_us: h.sent_us,
-            recv_us: start.elapsed().as_micros() as u64,
-            of_retx: h.retx,
-        };
-        socket.send_to(&encode_ack(&ack), from)?;
     }
-    Ok(report)
+    Ok(ReceiverReport {
+        unique_bytes: rx.recv_bytes(),
+        datagrams: rx.packets_seen(),
+        duplicates: rx.duplicates(),
+    })
 }

@@ -1,37 +1,41 @@
 //! The UDP sender: the paper's user-space prototype shape — a sender whose
 //! transmission schedule is dictated by any [`CongestionControl`]
-//! algorithm, with SACK-scoreboard reliability. The algorithm is the *same
-//! object* that drives the simulator: real time is mapped onto [`SimTime`],
-//! algorithm timers run on a local timer heap, and the engine enforces
-//! whatever the algorithm requests — a pacing rate (PCC, SABUL, PCP), a
-//! congestion window (the TCP baselines), or both (paced TCP).
+//! algorithm, with SACK-scoreboard reliability. There is no second engine
+//! here: [`send_with`] drives the simulator's own [`CcSender`] on the wall
+//! clock. Elapsed real time is mapped onto [`SimTime`], the engine's timer
+//! requests run on a local min-heap, its `Send` actions become datagrams,
+//! and decoded ACK frames are handed back to it as ACK packets. Whatever
+//! the engine does in the simulator — pacing, window clocking, RTO
+//! backoff, the dead-time budget, outage resume, batched reports — it does
+//! here, on the same algorithm object.
 //!
-//! Everything runs on blocking `std::net` sockets (non-blocking receive +
-//! short sleeps); no async runtime is required.
+//! Everything runs on `std::net` sockets (non-blocking receive plus short
+//! waits); no async runtime is required.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use pcc_core::{PccConfig, PccController};
-use pcc_simnet::packet::AckInfo;
+use pcc_simnet::endpoint::{Action, Endpoint, EndpointCtx};
+use pcc_simnet::ids::{FlowId, Side};
+use pcc_simnet::packet::Packet;
 use pcc_simnet::rng::SimRng;
 use pcc_simnet::time::{SimDuration, SimTime};
-use pcc_transport::cc::{
-    AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportInterval,
-    ReportMode, SentEvent,
-};
+use pcc_transport::cc::{CongestionControl, ReportMode};
 use pcc_transport::error::TransferError;
+use pcc_transport::flow::{FlowSize, TransportConfig};
 use pcc_transport::host::{HostedCc, SharedHost};
 use pcc_transport::registry::{self, CcParams, SpecError};
-use pcc_transport::report::ReportAggregator;
-use pcc_transport::rtt::RttEstimator;
-use pcc_transport::sack::Scoreboard;
+use pcc_transport::sender::{CcSender, CcSenderConfig};
 
 use crate::wire::{decode, encode_data, DataHeader, Frame};
 
-/// Sender configuration.
+/// Sender configuration. Each field maps onto a [`CcSenderConfig`] field
+/// of the engine that [`send_with`] drives.
 #[derive(Clone, Copy, Debug)]
 pub struct UdpSenderConfig {
     /// Payload bytes per datagram.
@@ -40,20 +44,21 @@ pub struct UdpSenderConfig {
     pub total_bytes: u64,
     /// RNG seed for the algorithm's randomized decisions.
     pub seed: u64,
-    /// Feedback-path override. `None` honours the algorithm's own
+    /// Feedback-path override, passed through as
+    /// [`CcSenderConfig::report`]. `None` honours the algorithm's own
     /// [`CongestionControl::report_mode`] preference; `Some` forces per-ACK
-    /// or batched delivery regardless, mirroring
-    /// `CcSenderConfig::report` on the simulated datapath.
+    /// or batched delivery regardless.
     pub report: Option<ReportMode>,
-    /// Dead-time budget: if no forward progress (no new bytes cumulatively
-    /// acknowledged) happens for this long while whole-window timeouts keep
-    /// firing, the transfer aborts with an [`ErrorKind::TimedOut`]
-    /// `io::Error` wrapping [`TransferError::Stalled`] (downcast via
-    /// `err.get_ref()`), instead of retrying a dead peer forever on the
-    /// capped-backoff timer. `None` disables the budget. Unlike the
-    /// simulator engine (where the default is off and the experiment
-    /// horizon bounds every run), a real socket has no horizon — the
-    /// default is 30 s on.
+    /// Dead-time budget, passed through as
+    /// [`CcSenderConfig::dead_time_budget`]: if no forward progress (no new
+    /// bytes cumulatively acknowledged) happens for this long while
+    /// timeouts keep firing, the transfer aborts with an
+    /// [`ErrorKind::TimedOut`] `io::Error` wrapping
+    /// [`TransferError::Stalled`] (downcast via `err.get_ref()`), instead
+    /// of retrying a dead peer forever on the capped-backoff timer. `None`
+    /// disables the budget. Unlike the simulator (where the default is off
+    /// and the experiment horizon bounds every run), a real socket has no
+    /// horizon — the default is 30 s on.
     pub dead_time_budget: Option<Duration>,
 }
 
@@ -84,31 +89,18 @@ pub struct SenderReport {
     pub final_rate_bps: f64,
     /// Final congestion window, packets (0 for pure rate algorithms).
     pub final_cwnd_pkts: f64,
-    /// Whole-window (RTO-style) loss declarations. Each one doubles the
-    /// effective RTO until an ACK advances the scoreboard, so a blackout
-    /// fires O(log duration) of these instead of one per base RTO.
+    /// RTO firings ([`CcSender::timeouts`]; 0 for pure rate control).
+    /// Each doubles the effective RTO until a fresh RTT sample arrives, so
+    /// a blackout fires O(log duration) of these, not one per base RTO.
     pub timeouts: u64,
-}
-
-#[derive(PartialEq, Eq)]
-struct TimerEntry(SimTime, u64);
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.cmp(&self.0) // min-heap
-    }
-}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Install every workspace algorithm into the
 /// [`pcc_transport::registry`] so [`send_named`] can resolve any of them.
-/// Idempotent. Twin of `pcc_scenarios::install_registry` (neither crate
-/// can depend on the other without warping the graph); a new algorithm
-/// crate must be added to BOTH registration lists.
+/// Idempotent. `pcc_scenarios::install_registry` keeps the same list for
+/// the simulator (neither crate depends on the other); a new algorithm
+/// crate goes into both, and the `registry_parity_*` tests at the
+/// workspace root fail if the two lists register different names.
 pub fn install_registry() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
@@ -190,450 +182,234 @@ pub fn send_hosted(
     send_with(socket, peer, cfg, Box::new(HostedCc::new(host, cc)))
 }
 
-/// Pop the next sequence that genuinely needs retransmission, eagerly
-/// discarding stale entries (already acked, or no longer marked lost) on
-/// the way. Draining stales here — instead of one per pacing slot — means
-/// a post-recovery queue of stale sequences can never stall the tail of a
-/// transfer: the first slot that reaches the queue either finds real work
-/// or empties it.
-fn next_transmit(retx: &mut VecDeque<u64>, sb: &Scoreboard) -> Option<u64> {
-    while let Some(seq) = retx.pop_front() {
-        if sb.is_lost(seq) && !sb.is_acked(seq) {
-            return Some(seq);
-        }
+/// The RTO floor on the real-socket datapath. A loopback RTT is tens of
+/// microseconds; the simulator's 200 ms TCP floor would idle a window
+/// algorithm for thousands of RTTs after every timeout.
+const UDP_MIN_RTO: SimDuration = SimDuration::from_millis(10);
+
+/// Cap on datagrams in flight, the datapath's receive window. Each one
+/// comes back as an ACK that waits in the sender's socket buffer until it
+/// is read; Linux's default buffer holds a few hundred, and a lost final
+/// ACK is unrecoverable once the receiver has everything and returns. 64
+/// also fits the receiver's buffer at a 1200 B payload.
+const MAX_IN_FLIGHT: u64 = 64;
+
+/// Waits shorter than this are spun, not slept: a sleep overshoots by the
+/// kernel's timer slack (about 50 µs), stretching short pacing gaps.
+const SPIN_BELOW: Duration = Duration::from_micros(100);
+
+/// Longest nap between checks for ACKs while nothing is due.
+const MAX_NAP: Duration = Duration::from_micros(250);
+
+/// The engine configuration for a UDP transfer. The flow is sized as
+/// `ceil(total_bytes / payload)` datagrams of [`wire_mss`] bytes:
+/// `FlowSize::Bytes(total_bytes)` at the wire MSS would stop
+/// 40/(payload+40) short and leave the receiver waiting forever. One
+/// datagram per `send_to`, so no offload bursts.
+fn engine_config(cfg: &UdpSenderConfig) -> CcSenderConfig {
+    let mss = wire_mss(cfg);
+    let datagrams = cfg.total_bytes.div_ceil(cfg.payload as u64);
+    CcSenderConfig {
+        transport: TransportConfig {
+            mss,
+            size: FlowSize::Bytes(datagrams * mss as u64),
+        },
+        max_in_flight: MAX_IN_FLIGHT,
+        min_rto: Some(UDP_MIN_RTO),
+        tso_burst_pkts: 1,
+        report: cfg.report,
+        dead_time_budget: cfg
+            .dead_time_budget
+            .map(|d| SimDuration::from_nanos(d.as_nanos() as u64)),
+        ..CcSenderConfig::default()
     }
-    None
 }
 
-/// Send with an arbitrary congestion-control algorithm. The engine
-/// enforces whatever operating point the algorithm requests: pacing rate,
-/// congestion window, or both.
+/// Wall-clock driver state around one [`CcSender`].
+struct Driver<'a> {
+    socket: &'a UdpSocket,
+    peer: SocketAddr,
+    start: Instant,
+    sender: CcSender,
+    rng: SimRng,
+    actions: Vec<Action>,
+    /// Armed engine timers `(at, token)`, earliest first.
+    timers: BinaryHeap<Reverse<(SimTime, u64)>>,
+    payload: Vec<u8>,
+    sent: u64,
+    /// Highest cumulative ack seen, in datagrams.
+    cum_ack: u64,
+    finished: bool,
+}
+
+impl Driver<'_> {
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
+    }
+
+    /// Run one engine callback at `now`, then carry out its actions in
+    /// order. A stall ends the transfer on the spot: nothing queued after
+    /// it reaches the wire.
+    fn call<R>(
+        &mut self,
+        now: SimTime,
+        f: impl FnOnce(&mut CcSender, &mut EndpointCtx) -> R,
+    ) -> std::io::Result<R> {
+        let mut actions = std::mem::take(&mut self.actions);
+        let out = f(
+            &mut self.sender,
+            &mut EndpointCtx::new(now, FlowId(0), Side::Sender, &mut self.rng, &mut actions),
+        );
+        let done = actions.drain(..).try_for_each(|a| self.apply(a));
+        self.actions = actions;
+        done.map(|()| out)
+    }
+
+    fn apply(&mut self, action: Action) -> std::io::Result<()> {
+        match action {
+            Action::Send(pkt) => {
+                let Some(d) = pkt.as_data() else {
+                    return Ok(());
+                };
+                let h = DataHeader {
+                    seq: d.seq,
+                    sent_us: d.sent_at.as_nanos() / 1_000,
+                    retx: d.retx,
+                };
+                match self
+                    .socket
+                    .send_to(&encode_data(&h, &self.payload), self.peer)
+                {
+                    // A full socket buffer drops the datagram, as a full
+                    // NIC queue would; the scoreboard repairs it.
+                    Err(e) if e.kind() != ErrorKind::WouldBlock => return Err(e),
+                    _ => self.sent += 1,
+                }
+            }
+            Action::SetTimer { at, token } => self.timers.push(Reverse((at, token))),
+            Action::Stall { dark, timeouts } => {
+                return Err(std::io::Error::new(
+                    ErrorKind::TimedOut,
+                    TransferError::Stalled {
+                        dark_ms: dark.as_nanos() / 1_000_000,
+                        timeouts,
+                        acked_bytes: self.cum_ack.saturating_mul(self.payload.len() as u64),
+                    },
+                ));
+            }
+            Action::Finish => self.finished = true,
+            // Measurement records are the simulator's statistics.
+            Action::RecordRate(_)
+            | Action::RecordRtt(_)
+            | Action::RecordLoss(_)
+            | Action::RecordGoodput(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Fire every timer due at `now`. Timers armed meanwhile fall after
+    /// `now`, so a fast pacer cannot starve ACK processing.
+    fn fire_due(&mut self, now: SimTime) -> std::io::Result<()> {
+        while let Some(&Reverse((at, token))) = self.timers.peek() {
+            if at > now || self.finished {
+                break;
+            }
+            self.timers.pop();
+            self.call(now, |s, ctx| s.on_timer(token, ctx))?;
+        }
+        Ok(())
+    }
+
+    /// Hand every ACK waiting on the socket to the engine; returns
+    /// whether any arrived.
+    fn drain_acks(&mut self, buf: &mut [u8]) -> std::io::Result<bool> {
+        let mut any = false;
+        while !self.finished {
+            let n = match self.socket.recv_from(buf) {
+                Ok((n, _)) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let Some(Frame::Ack(a)) = decode(&buf[..n]) else {
+                continue;
+            };
+            any = true;
+            self.cum_ack = self.cum_ack.max(a.cum_ack);
+            let now = self.now();
+            let pkt = Packet::ack(FlowId(0), a.info(), now);
+            self.call(now, |s, ctx| s.on_packet(&pkt, ctx))?;
+        }
+        Ok(any)
+    }
+
+    /// Wait toward the next engine deadline, napping at most [`MAX_NAP`]
+    /// so that arriving ACKs are read promptly.
+    fn idle(&self) {
+        let until = self.timers.peek().map_or(MAX_NAP, |&Reverse((at, _))| {
+            Duration::from_nanos(at.saturating_since(self.now()).as_nanos())
+        });
+        if until < SPIN_BELOW {
+            thread::yield_now();
+        } else {
+            thread::sleep((until - SPIN_BELOW / 2).min(MAX_NAP));
+        }
+    }
+}
+
+/// Send with an arbitrary congestion-control algorithm: a wall-clock
+/// driver around [`CcSender`], which enforces whatever operating point the
+/// algorithm requests — pacing rate, congestion window, or both.
+///
+/// An algorithm that sets neither a rate nor a cwnd in `on_start` is an
+/// [`ErrorKind::InvalidInput`] error wrapping
+/// [`pcc_transport::NoOperatingPoint`]; an expired
+/// [`UdpSenderConfig::dead_time_budget`] is an [`ErrorKind::TimedOut`]
+/// error wrapping [`TransferError::Stalled`].
 pub fn send_with(
     socket: &UdpSocket,
     peer: SocketAddr,
     cfg: UdpSenderConfig,
-    mut cc: Box<dyn CongestionControl>,
+    cc: Box<dyn CongestionControl>,
 ) -> std::io::Result<SenderReport> {
-    let start = Instant::now();
-    let now_sim = |t0: Instant| SimTime::from_nanos(t0.elapsed().as_nanos() as u64);
-    let mut rng = SimRng::new(cfg.seed);
-    let mut effects = Effects::default();
-    let mut timers: BinaryHeap<TimerEntry> = BinaryHeap::new();
-    let mut sb = Scoreboard::new();
-    let mut rtt = RttEstimator::new(SimDuration::from_millis(10), SimDuration::from_secs(10));
-    let mut retx: VecDeque<u64> = VecDeque::new();
-    let total_pkts = cfg.total_bytes.div_ceil(cfg.payload as u64);
-    let payload = vec![0xA5u8; cfg.payload];
-    let wire_bytes = wire_mss(&cfg);
-    let mut report = SenderReport::default();
-
-    let mut rate_bps: Option<f64> = None;
-    let mut cwnd_pkts: Option<f64> = None;
-    // Engine-side recovery-episode tracking for window algorithms.
-    let mut recovery_point: Option<u64> = None;
-    // Off-path feedback machinery. When the algorithm (or the config
-    // override) asks for batched reports, per-packet events accumulate in
-    // the aggregator and the algorithm only hears from the engine at report
-    // boundaries — the real-socket twin of `CcSender`'s batched mode.
-    let report_mode = cfg.report.unwrap_or_else(|| cc.report_mode());
-    let batched = matches!(report_mode, ReportMode::Batched(_));
-    let mut agg = ReportAggregator::default();
-    // One-shot interval override requested via `Ctx::set_report_interval`.
-    let mut requested_interval: Option<SimDuration> = None;
-    let mut next_report: Option<Instant> = None;
-    // Exponential RTO backoff, mirroring `CcSender`'s windowed mode: each
-    // whole-window loss declaration doubles the effective RTO (capped at
-    // 2^6×), and any ACK that delivers new data resets it. Without this a
-    // real-path blackout re-fired the full-scan loss declaration — and
-    // the full-window retransmission burst — every *base* RTO, hammering
-    // the dead path and recovering far slower than the simulated engine.
-    let mut rto_backoff: u32 = 0;
-    // Dead-time bookkeeping for the graceful-degradation budget: the last
-    // wall-clock instant at which an ACK delivered new bytes, and how many
-    // consecutive whole-window timeouts have fired since. Any forward
-    // progress resets both; crossing `cfg.dead_time_budget` aborts with
-    // `TransferError::Stalled` *before* the retransmission burst, so an
-    // aborted transfer leaves the dead path quiet.
-    let mut last_progress = Instant::now();
-    let mut timeouts_since_progress: u64 = 0;
-    // Consecutive fruitless timeouts after which progress returning is
-    // treated as outage recovery rather than ordinary loss: the RTT
-    // estimator is re-seeded from the fresh sample (stale-path SRTT and a
-    // backed-off RTO would otherwise govern the healed path for a long
-    // tail) and the algorithm's `on_resume` hook runs. Mirrors the
-    // simulator engine's constant of the same name.
-    const RESUME_TIMEOUTS: u64 = 3;
-    let mut next_send = Instant::now();
-    let mut buf = vec![0u8; 65_536];
-
     socket.set_nonblocking(true)?;
-
-    // Drain algorithm decisions into engine state. The operating point is
-    // applied before any mode switch so a switch in the same callback
-    // derives from the values just set (same ordering as `CcSender`).
-    macro_rules! apply_effects {
-        () => {{
-            let d = effects.drain();
-            if let Some(r) = d.rate {
-                rate_bps = Some(r.max(1_000.0));
-            }
-            if let Some(w) = d.cwnd {
-                cwnd_pkts = Some(w);
-            }
-            if let Some(dur) = d.report_in {
-                requested_interval = Some(dur);
-            }
-            for (at, token) in d.timers {
-                timers.push(TimerEntry(at, token));
-            }
-            if let Some(mode) = d.mode {
-                let srtt = rtt.srtt_or(SimDuration::from_millis(100)).as_secs_f64();
-                match mode {
-                    CcMode::Rate => {
-                        if rate_bps.is_none() {
-                            let w = cwnd_pkts.unwrap_or(2.0).max(1.0);
-                            rate_bps = Some((w * wire_bytes as f64 * 8.0 / srtt).max(1_000.0));
-                        }
-                        cwnd_pkts = None;
-                        recovery_point = None;
-                    }
-                    CcMode::Window => {
-                        if cwnd_pkts.is_none() {
-                            let r = rate_bps.unwrap_or(1_000.0);
-                            cwnd_pkts = Some((r * srtt / (wire_bytes as f64 * 8.0)).max(2.0));
-                        }
-                        rate_bps = None;
-                    }
-                    CcMode::Hybrid => {
-                        if rate_bps.is_none() {
-                            let w = cwnd_pkts.unwrap_or(2.0).max(1.0);
-                            rate_bps = Some((w * wire_bytes as f64 * 8.0 / srtt).max(1_000.0));
-                        }
-                        if cwnd_pkts.is_none() {
-                            let r = rate_bps.unwrap_or(1_000.0);
-                            cwnd_pkts = Some((r * srtt / (wire_bytes as f64 * 8.0)).max(2.0));
-                        }
-                    }
-                }
-            }
-        }};
-    }
-
-    // Re-arm the report deadline: the algorithm's one-shot override if it
-    // set one (PCC aligning reports with its monitor intervals), else the
-    // configured cadence — the adaptive default re-reads the smoothed RTT
-    // at every boundary, exactly like `CcSender::report_interval`.
-    macro_rules! arm_report {
-        () => {{
-            let interval = match requested_interval.take() {
-                Some(d) => d.max(SimDuration::from_micros(100)),
-                None => match report_mode {
-                    ReportMode::Batched(ReportInterval::Rtts(k)) => rtt
-                        .srtt_or(SimDuration::from_millis(100))
-                        .mul_f64(k)
-                        .max(SimDuration::from_millis(1)),
-                    ReportMode::Batched(ReportInterval::Fixed(d)) => {
-                        d.max(SimDuration::from_micros(100))
-                    }
-                    // Unreachable: only armed in batched mode.
-                    ReportMode::PerAck => SimDuration::from_secs(3600),
-                },
-            }
-            .min(SimDuration::from_secs(3600));
-            next_report = Some(Instant::now() + Duration::from_nanos(interval.as_nanos()));
-        }};
-    }
-
-    // Close the current interval, stamp the engine snapshot, and deliver
-    // the report. Empty intervals are delivered too — interval-structured
-    // algorithms (PCC) use the boundary itself as their clock.
-    macro_rules! emit_report {
-        ($now:expr) => {{
-            let now = $now;
-            let mut rep = agg.take(now);
-            let srtt = rtt.srtt_or(SimDuration::from_millis(100));
-            rep.srtt = srtt;
-            rep.min_rtt = rtt.min_rtt().unwrap_or(srtt);
-            rep.in_flight = sb.in_flight();
-            rep.cum_ack = sb.cum_ack();
-            rep.mss = wire_bytes;
-            rep.in_recovery = recovery_point.is_some();
-            {
-                let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                cc.on_report(&rep, &mut ctx);
-            }
-            apply_effects!();
-            arm_report!();
-        }};
-    }
-
-    {
-        let mut ctx = Ctx::new(now_sim(start), &mut rng, &mut effects);
-        cc.on_start(&mut ctx);
-    }
-    apply_effects!();
-    if rate_bps.is_none() && cwnd_pkts.is_none() {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidInput,
-            format!("algorithm `{}` set neither rate nor cwnd", cc.name()),
-        ));
-    }
-    if batched {
-        agg.begin(now_sim(start));
-        arm_report!();
-    }
-
-    while !sb.all_acked_below(total_pkts) {
-        let now = now_sim(start);
-        // Fire due algorithm timers.
-        while timers.peek().map(|t| t.0 <= now).unwrap_or(false) {
-            let TimerEntry(_, token) = timers.pop().expect("peeked");
-            {
-                let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                cc.on_timer(token, &mut ctx);
-            }
-            apply_effects!();
-        }
-        // Close a due report interval.
-        if batched && next_report.is_some_and(|t| Instant::now() >= t) {
-            emit_report!(now_sim(start));
-        }
-        // Loss detection. When the scan wipes out the *entire* in-flight
-        // window, that is the real-socket analogue of the simulator
-        // engine's RTO (mark-all-lost): deliver it as a Timeout so window
-        // algorithms run their RTO path (collapse + slow-start restart),
-        // matching `CcSender` semantics on the same algorithm object.
-        let rto = SimDuration::from_nanos(rtt.rto().as_nanos() * (1u64 << rto_backoff.min(6)));
-        let lost = sb.detect_losses(now, rto);
-        if !lost.is_empty() {
-            report.losses += lost.len() as u64;
-            retx.extend(lost.iter().copied());
-            let whole_window = sb.in_flight() == 0;
-            if whole_window {
-                rto_backoff = rto_backoff.saturating_add(1);
-                report.timeouts += 1;
-                timeouts_since_progress += 1;
-                if let Some(budget) = cfg.dead_time_budget {
-                    let dark = last_progress.elapsed();
-                    if dark >= budget {
-                        // Abort before the retransmission burst below: a
-                        // stalled transfer must not keep hammering the
-                        // dead path on its way out.
-                        return Err(std::io::Error::new(
-                            ErrorKind::TimedOut,
-                            TransferError::Stalled {
-                                dark_ms: dark.as_millis() as u64,
-                                timeouts: timeouts_since_progress,
-                                acked_bytes: sb.cum_ack().saturating_mul(cfg.payload as u64),
-                            },
-                        ));
-                    }
-                }
-            }
-            let new_episode = match (cwnd_pkts.is_some(), recovery_point) {
-                (false, _) => true,
-                (true, Some(_)) => false,
-                (true, None) => {
-                    recovery_point = Some(sb.next_seq());
-                    true
-                }
-            };
-            if whole_window {
-                // An RTO-style event aborts any recovery episode.
-                recovery_point = None;
-            }
-            let ev = LossEvent {
-                now,
-                seqs: &lost,
-                kind: if whole_window {
-                    LossKind::Timeout
-                } else {
-                    LossKind::Detected
-                },
-                new_episode: whole_window || new_episode,
-                in_flight: sb.in_flight(),
-                mss: wire_bytes,
-            };
-            if batched {
-                agg.on_loss(&ev);
-                if ev.new_episode || whole_window {
-                    // Urgent flush: a fresh loss episode must not wait out
-                    // the report cadence (same rule as the sim engine).
-                    emit_report!(now);
-                }
-            } else {
-                {
-                    let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                    cc.on_loss(&ev, &mut ctx);
-                }
-                apply_effects!();
-            }
-        }
-        // Transmit if the algorithm's operating point allows it right now.
-        let pace_due = rate_bps.is_none() || Instant::now() >= next_send;
-        let window_open = cwnd_pkts.is_none_or(|w| sb.in_flight() < w.max(1.0) as u64);
-        let has_new = sb.next_seq() < total_pkts;
-        let has_work = has_new || !retx.is_empty();
-        if pace_due && window_open && has_work {
-            let (seq, is_retx) = match next_transmit(&mut retx, &sb) {
-                Some(s) => (s, true),
-                None if has_new => (sb.next_seq(), false),
-                None => (0, false), // queue was all stale and no new data
-            };
-            if is_retx || has_new {
-                let h = DataHeader {
-                    seq,
-                    sent_us: start.elapsed().as_micros() as u64,
-                    retx: is_retx,
-                };
-                socket.send_to(&encode_data(&h, &payload), peer)?;
-                sb.on_send(seq, now, is_retx);
-                report.sent += 1;
-                let ev = SentEvent {
-                    now,
-                    seq,
-                    bytes: wire_bytes,
-                    retx: is_retx,
-                    in_flight: sb.in_flight(),
-                };
-                if batched {
-                    agg.on_sent(&ev);
-                } else {
-                    {
-                        let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                        cc.on_sent(&ev, &mut ctx);
-                    }
-                    apply_effects!();
-                }
-                if let Some(rate) = rate_bps {
-                    let gap = wire_bytes as f64 * 8.0 / rate;
-                    next_send = Instant::now() + Duration::from_secs_f64(gap);
-                }
-            }
-        }
-        // Drain whatever ACKs have arrived; if nothing is sendable, nap
-        // briefly instead of spinning.
-        let mut got_any = false;
-        loop {
-            match socket.recv_from(&mut buf) {
-                Ok((n, _)) => {
-                    got_any = true;
-                    let Some(Frame::Ack(a)) = decode(&buf[..n]) else {
-                        continue;
-                    };
-                    let now = now_sim(start);
-                    let echo = SimTime::from_nanos(a.echo_sent_us * 1_000);
-                    let sample = now.saturating_since(echo);
-                    rtt.on_sample(sample);
-                    let info = AckInfo {
-                        acked_seq: a.acked_seq,
-                        cum_ack: a.cum_ack,
-                        echo_sent_at: echo,
-                        recv_at: SimTime::from_nanos(a.recv_us * 1_000),
-                        recv_bytes: 0,
-                        probe_train: None,
-                        of_retx: a.of_retx,
-                    };
-                    let out = sb.on_ack(&info, now);
-                    if out.newly_acked > 0 {
-                        // Fresh delivery: the path is alive again.
-                        rto_backoff = 0;
-                        last_progress = Instant::now();
-                        if timeouts_since_progress >= RESUME_TIMEOUTS {
-                            // Outage recovery: discard the dead path's RTT
-                            // history (re-seeded from this fresh sample) and
-                            // let the algorithm reset its measurement state.
-                            rtt = RttEstimator::new(
-                                SimDuration::from_millis(10),
-                                SimDuration::from_secs(10),
-                            );
-                            rtt.on_sample(sample);
-                            {
-                                let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                                cc.on_resume(&mut ctx);
-                            }
-                            apply_effects!();
-                        }
-                        timeouts_since_progress = 0;
-                    }
-                    if let Some(rp) = recovery_point {
-                        if sb.cum_ack() >= rp {
-                            recovery_point = None;
-                        }
-                    }
-                    if out.rtt.is_some() || out.newly_acked > 0 {
-                        let srtt = rtt.srtt_or(SimDuration::from_millis(1));
-                        let ev = AckEvent {
-                            now,
-                            seq: a.acked_seq,
-                            rtt: out.rtt.unwrap_or(srtt),
-                            sampled: out.rtt.is_some(),
-                            srtt,
-                            min_rtt: rtt.min_rtt().unwrap_or(srtt),
-                            max_rtt: rtt.max_rtt().unwrap_or(srtt),
-                            recv_at: info.recv_at,
-                            probe_train: None,
-                            of_retx: a.of_retx,
-                            cum_ack: a.cum_ack,
-                            newly_acked: out.newly_acked.min(u32::MAX as u64) as u32,
-                            in_flight: sb.in_flight(),
-                            mss: wire_bytes,
-                            in_recovery: recovery_point.is_some(),
-                        };
-                        if batched {
-                            agg.on_ack(&ev);
-                        } else {
-                            {
-                                let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                                cc.on_ack(&ev, &mut ctx);
-                            }
-                            apply_effects!();
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if !got_any && (!has_work || !window_open || (rate_bps.is_some() && !pace_due)) {
-            // Nothing to do right now: sleep until the next interesting
-            // moment (pacing slot, timer) but never more than a millisecond
-            // so ACK processing stays responsive.
-            let mut nap = Duration::from_millis(1);
-            if rate_bps.is_some() {
-                let until = next_send.saturating_duration_since(Instant::now());
-                if until > Duration::ZERO {
-                    nap = nap.min(until);
-                }
-            }
-            std::thread::sleep(nap.max(Duration::from_micros(20)));
+    let mut d = Driver {
+        socket,
+        peer,
+        start: Instant::now(),
+        sender: CcSender::new(engine_config(&cfg), cc),
+        rng: SimRng::new(cfg.seed),
+        actions: Vec::new(),
+        timers: BinaryHeap::new(),
+        payload: vec![0xA5u8; cfg.payload],
+        sent: 0,
+        cum_ack: 0,
+        finished: false,
+    };
+    d.call(SimTime::ZERO, |s, ctx| s.try_start(ctx))?
+        .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e))?;
+    let mut buf = vec![0u8; 65_536];
+    while !d.finished {
+        d.fire_due(d.now())?;
+        if !d.drain_acks(&mut buf)? && !d.finished {
+            d.idle();
         }
     }
-    report.elapsed = start.elapsed();
-    report.goodput_mbps =
-        cfg.total_bytes as f64 * 8.0 / report.elapsed.as_secs_f64().max(1e-9) / 1e6;
-    report.final_rate_bps = rate_bps.unwrap_or(0.0);
-    report.final_cwnd_pkts = cwnd_pkts.unwrap_or(0.0);
-    Ok(report)
+    let elapsed = d.start.elapsed();
+    Ok(SenderReport {
+        elapsed,
+        goodput_mbps: cfg.total_bytes as f64 * 8.0 / elapsed.as_secs_f64().max(1e-9) / 1e6,
+        sent: d.sent,
+        losses: d.sender.losses(),
+        final_rate_bps: d.sender.rate_bps().unwrap_or(0.0),
+        final_cwnd_pkts: d.sender.cwnd_pkts().unwrap_or(0.0),
+        timeouts: d.sender.timeouts(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ack(sb: &mut Scoreboard, seq: u64, cum_ack: u64, at: SimTime) {
-        let info = AckInfo {
-            acked_seq: seq,
-            cum_ack,
-            echo_sent_at: SimTime::ZERO,
-            recv_at: at,
-            recv_bytes: 0,
-            probe_train: None,
-            of_retx: false,
-        };
-        sb.on_ack(&info, at);
-    }
 
     #[test]
     fn send_pcc_threads_the_wire_mss() {
@@ -651,29 +427,37 @@ mod tests {
     }
 
     #[test]
-    fn next_transmit_drains_stale_entries_in_one_call() {
-        // 5 packets in flight, all declared lost, then 0..4 get acked
-        // (SACKed after the loss declaration): their retx entries are
-        // stale. One `next_transmit` call must discard every stale entry
-        // and return the single still-lost sequence — the old code burned
-        // one pacing slot per stale entry, stalling the transfer tail.
-        let mut sb = Scoreboard::new();
-        let t0 = SimTime::ZERO;
-        for seq in 0..5 {
-            sb.on_send(seq, t0, false);
+    fn engine_config_maps_the_udp_conventions() {
+        // Exactly ceil(total / payload) datagrams. Sizing the flow in
+        // payload bytes would send 6766 of the default 6991, 3.2% short.
+        for (payload, total) in [(1200, 8 << 20), (1200, 1), (1200, 1201), (400, 1_000_003)] {
+            let cfg = UdpSenderConfig {
+                payload,
+                total_bytes: total,
+                ..Default::default()
+            };
+            let t = engine_config(&cfg).transport;
+            assert_eq!(t.mss, wire_mss(&cfg));
+            assert_eq!(t.size.packets(t.mss), Some(total.div_ceil(payload as u64)));
         }
-        let lost = sb.mark_all_lost();
-        assert_eq!(lost.len(), 5);
-        let mut retx: VecDeque<u64> = lost.into_iter().collect();
-        let t1 = SimTime::from_millis(1);
-        for seq in 0..4 {
-            ack(&mut sb, seq, seq + 1, t1);
-        }
-        assert_eq!(next_transmit(&mut retx, &sb), Some(4));
-        assert!(retx.is_empty(), "stale entries discarded eagerly");
-        // A fully-stale queue empties in one call and reports no work.
-        let mut all_stale: VecDeque<u64> = (0..4).collect();
-        assert_eq!(next_transmit(&mut all_stale, &sb), None);
-        assert!(all_stale.is_empty());
+        let cfg = UdpSenderConfig::default();
+        assert_eq!(FlowSize::Bytes(cfg.total_bytes).packets(1240), Some(6766));
+        // The loopback RTO floor, one datagram per send, and the budget
+        // and report override passed through exactly.
+        let e = engine_config(&UdpSenderConfig {
+            report: Some(ReportMode::batched_rtt()),
+            dead_time_budget: Some(Duration::from_micros(400_250)),
+            ..cfg
+        });
+        assert_eq!(e.min_rto, Some(SimDuration::from_millis(10)));
+        assert_eq!((e.tso_burst_pkts, e.max_in_flight), (1, 64));
+        assert_eq!(e.report, Some(ReportMode::batched_rtt()));
+        assert_eq!(e.dead_time_budget, Some(SimDuration::from_micros(400_250)));
+        let off = UdpSenderConfig {
+            dead_time_budget: None,
+            ..cfg
+        };
+        assert_eq!(engine_config(&off).dead_time_budget, None);
+        assert_eq!(engine_config(&off).report, None);
     }
 }

@@ -1,7 +1,11 @@
 //! Wire format for the UDP transport: fixed 40-byte headers, no payload
-//! compression, everything big-endian. Mirrors the simulator's packet
-//! metadata so the same controller logic drives both. Encoding is plain
+//! compression, everything big-endian. The headers carry the simulator's
+//! packet metadata (timestamps truncated to microseconds), so the same
+//! sender engine and receiver drive both datapaths. Encoding is plain
 //! `Vec<u8>`/slice work — no external buffer crates.
+
+use pcc_simnet::packet::AckInfo;
+use pcc_simnet::time::SimTime;
 
 /// Magic tag guarding against stray datagrams.
 pub const MAGIC: u32 = 0x9CC0_2015;
@@ -32,6 +36,33 @@ pub struct AckPacket {
     pub recv_us: u64,
     /// The acked packet was a retransmission.
     pub of_retx: bool,
+}
+
+impl AckPacket {
+    /// The wire form of a receiver's selective ACK.
+    pub fn from_info(info: &AckInfo) -> Self {
+        AckPacket {
+            acked_seq: info.acked_seq,
+            cum_ack: info.cum_ack,
+            echo_sent_us: info.echo_sent_at.as_nanos() / 1_000,
+            recv_us: info.recv_at.as_nanos() / 1_000,
+            of_retx: info.of_retx,
+        }
+    }
+
+    /// The ACK metadata the sender engine consumes. The receiver's byte
+    /// count and the probe-train tag do not travel on the wire.
+    pub fn info(&self) -> AckInfo {
+        AckInfo {
+            acked_seq: self.acked_seq,
+            cum_ack: self.cum_ack,
+            echo_sent_at: SimTime::from_nanos(self.echo_sent_us.saturating_mul(1_000)),
+            recv_at: SimTime::from_nanos(self.recv_us.saturating_mul(1_000)),
+            recv_bytes: 0,
+            probe_train: None,
+            of_retx: self.of_retx,
+        }
+    }
 }
 
 /// Either side of the protocol; data payloads borrow from the receive

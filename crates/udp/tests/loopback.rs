@@ -215,3 +215,48 @@ fn send_pcc_uses_wire_mss_on_a_nonstandard_payload() {
     assert!(rx_report.unique_bytes >= total, "all payload arrived");
     assert!(report.final_rate_bps > 0.0, "PCC drives a rate");
 }
+
+#[test]
+fn algorithm_without_operating_point_is_typed_error_not_panic() {
+    // An algorithm that sets neither a rate nor a cwnd cannot be enforced.
+    // The simulator treats that as a programming error (a panic); over a
+    // real socket it is an `InvalidInput` error wrapping the typed cause,
+    // and nothing reaches the wire.
+    use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent};
+    use pcc_transport::NoOperatingPoint;
+    use pcc_udp::send_with;
+
+    struct Lazy;
+    impl CongestionControl for Lazy {
+        fn name(&self) -> &'static str {
+            "lazy"
+        }
+        fn on_start(&mut self, _ctx: &mut Ctx) {}
+        fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut Ctx) {}
+        fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
+    }
+
+    let (rx_sock, tx_sock, rx_addr) = sockets();
+    let err = send_with(
+        &tx_sock,
+        rx_addr,
+        UdpSenderConfig::default(),
+        Box::new(Lazy),
+    )
+    .expect_err("no operating point, no transfer");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    let cause = err
+        .get_ref()
+        .and_then(|inner| inner.downcast_ref::<NoOperatingPoint>())
+        .expect("the io::Error wraps the typed cause");
+    assert_eq!(cause.algorithm, "lazy");
+    assert!(
+        err.to_string().contains("neither a rate nor a cwnd"),
+        "{err}"
+    );
+    rx_sock
+        .set_read_timeout(Some(std::time::Duration::from_millis(50)))
+        .expect("timeout");
+    let mut buf = [0u8; 64];
+    assert!(rx_sock.recv_from(&mut buf).is_err(), "no datagram was sent");
+}
