@@ -17,6 +17,10 @@ fn main() {
     );
     for (id, desc, run) in registry() {
         println!("\n### {id}: {desc}\n");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the benchmark clock: times deterministic work, never feeds it"
+        )]
         let t0 = std::time::Instant::now();
         let tables = run(&opts);
         println!(

@@ -198,6 +198,10 @@ fn bench_cc_dispatch(out: &mut BenchReport) {
         if batched {
             agg.begin(now);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the benchmark clock: times deterministic work, never feeds it"
+        )]
         let t0 = Instant::now();
         for i in 0..PKTS {
             now = SimTime::from_nanos(i * SPACING_US * 1_000);
@@ -307,6 +311,10 @@ fn bench_experiments_suite(out: &mut BenchReport) {
             out_dir: std::env::temp_dir().join(dir),
             ..Opts::default()
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the benchmark clock: times deterministic work, never feeds it"
+        )]
         let t0 = Instant::now();
         for (id, _, run) in registry() {
             if ids.contains(&id) {

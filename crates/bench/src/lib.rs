@@ -22,6 +22,10 @@ use std::time::{Duration, Instant};
 /// Runs a short calibration to pick an iteration count that fills
 /// ~`target_ms` per sample, then takes `samples` samples and reports the
 /// median and the minimum.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the benchmark clock: times deterministic work, never feeds it"
+)]
 pub fn bench(name: &str, samples: usize, target_ms: u64, mut f: impl FnMut()) {
     // Calibrate.
     let t0 = Instant::now();

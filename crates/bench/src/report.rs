@@ -82,6 +82,10 @@ impl BenchReport {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"mode\": \"{}\",\n", esc(&self.mode)));
         out.push_str(&format!("  \"cores\": {},\n", self.cores));
+        #[expect(
+            clippy::disallowed_types,
+            reason = "stamps the report file; no measured result reads it"
+        )]
         let stamp = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())

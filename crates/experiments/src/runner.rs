@@ -90,15 +90,22 @@ pub fn run_jobs<T: Send>(opts: &Opts, label: &str, jobs: Vec<Job<'_, T>>) -> Vec
                 if i >= total {
                     break;
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "propagation is the point: a poisoned slot means a sibling job panicked, and the runner's contract is to fail the whole experiment loudly, never emit a half-filled table"
+                )]
                 let job = jobs[i]
-                    // lint: allow(L004) — propagation is the point: a poisoned slot means a sibling job panicked, and the runner's contract is to fail the whole experiment loudly, never emit a half-filled table
                     .lock()
                     .expect("job slot poisoned")
                     .take()
                     .expect("each slot is taken exactly once");
                 let result = job();
-                // lint: allow(L004) — same panic-propagation contract as the job-slot lock above
-                *results[i].lock().expect("result slot poisoned") = Some(result);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "same panic-propagation contract as the job-slot lock above"
+                )]
+                let mut slot = results[i].lock().expect("result slot poisoned");
+                *slot = Some(result);
                 progress.tick();
             });
         }
@@ -129,11 +136,14 @@ impl Progress {
         let enabled = total > 1
             && (std::env::var_os("PCC_PROGRESS").is_some_and(|v| v != "0")
                 || std::io::stderr().is_terminal());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall clock feeds the stderr progress/ETA line only; no simulated result ever reads it"
+        )]
         Progress {
             label: label.to_string(),
             total,
             done: AtomicUsize::new(0),
-            // lint: allow(L002) — wall clock feeds the stderr progress/ETA line only; no simulated result ever reads it
             started: Instant::now(),
             enabled,
         }

@@ -144,7 +144,10 @@ fn best_of(runs: usize, mut workload: impl FnMut() -> u64) -> (f64, u64) {
     let mut best_ms = f64::MAX;
     let mut events = 0u64;
     for _ in 0..runs.max(1) {
-        // lint: allow(L002) — this IS the benchmark clock: perf harness measures wall time of deterministic runs; the measured simulation never sees it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this IS the benchmark clock: perf harness measures wall time of deterministic runs; the measured simulation never sees it"
+        )]
         let t0 = Instant::now();
         events = workload();
         best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1000.0);

@@ -33,8 +33,22 @@ use crate::report::MeasurementReport;
 
 /// Dense per-host flow identifier. Slots are recycled: removing a flow
 /// frees its id for the next [`CcHost::add_flow`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct HostFlowId(u32);
+
+// Not derived: a derived `PartialOrd` calls the field's `partial_cmp`,
+// which the workspace's clippy config bans.
+impl Ord for HostFlowId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for HostFlowId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl HostFlowId {
     /// The raw slot index.
@@ -271,6 +285,10 @@ impl HostedCc {
 /// Mutex recovery per the workspace convention: a poisoned host is still
 /// structurally sound (algorithm state may be mid-update, but every field
 /// is a valid value), so keep serving rather than wedging every flow.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a poisoned host is still structurally sound; keep serving"
+)]
 fn lock(host: &SharedHost) -> MutexGuard<'_, CcHost> {
     host.lock().unwrap_or_else(PoisonError::into_inner)
 }

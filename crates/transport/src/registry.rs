@@ -60,7 +60,7 @@
 //! left consistent and the poison flag carries no information.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use pcc_simnet::time::SimDuration;
 
@@ -222,6 +222,22 @@ fn table() -> &'static RwLock<BTreeMap<String, Entry>> {
     TABLE.get_or_init(|| RwLock::new(BTreeMap::new()))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the table survives poisoning: every write is a single insert, so it is always consistent"
+)]
+fn read_table() -> RwLockReadGuard<'static, BTreeMap<String, Entry>> {
+    table().read().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the table survives poisoning: every write is a single insert, so it is always consistent"
+)]
+fn write_table() -> RwLockWriteGuard<'static, BTreeMap<String, Entry>> {
+    table().write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Register (or replace) a named algorithm factory that takes no spec
 /// parameters (any `name:key=val` key is an [`InvalidParam`]).
 pub fn register(name: &str, factory: CcFactory) {
@@ -252,17 +268,14 @@ pub fn register_with_schema_checked(
 }
 
 fn insert_factory(name: &str, schema: Schema, check: Option<Arc<SchemaCheck>>, factory: CcFactory) {
-    table()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(
-            name.to_string(),
-            Entry::Factory {
-                f: Arc::new(factory),
-                schema,
-                check,
-            },
-        );
+    write_table().insert(
+        name.to_string(),
+        Entry::Factory {
+            f: Arc::new(factory),
+            schema,
+            check,
+        },
+    );
 }
 
 /// Register `alias` to resolve to whatever `target` names at lookup time
@@ -271,10 +284,7 @@ fn insert_factory(name: &str, schema: Schema, check: Option<Arc<SchemaCheck>>, f
 /// registration and surface as a typed [`UnknownAlgorithm`] from
 /// [`by_name`], never a crash.
 pub fn register_alias(alias: &str, target: &str) {
-    table()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(alias.to_string(), Entry::Alias(target.to_string()));
+    write_table().insert(alias.to_string(), Entry::Alias(target.to_string()));
 }
 
 /// Construct an algorithm from a spec — a bare name (`"cubic"`) or a
@@ -340,7 +350,7 @@ pub fn by_name(name: &str, params: &CcParams) -> Result<Box<dyn CongestionContro
     // guard *before* invoking the factory so factories can never deadlock
     // std's RwLock against a queued writer.
     let resolved = {
-        let table = table().read().unwrap_or_else(PoisonError::into_inner);
+        let table = read_table();
         match resolve(&table, &base) {
             Some((factory, schema, check)) => {
                 Ok((Arc::clone(factory), schema, check.map(Arc::clone)))
@@ -384,7 +394,10 @@ pub fn by_name(name: &str, params: &CcParams) -> Result<Box<dyn CongestionContro
 /// one within the [`MAX_ALIAS_HOPS`] budget. The single resolver behind
 /// both [`by_name`] and the error path's "which names are usable" filter,
 /// so the two can never disagree.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "a borrowed view of one table entry; a named alias would hide the lifetimes"
+)]
 fn resolve<'t>(
     table: &'t BTreeMap<String, Entry>,
     name: &str,
@@ -403,26 +416,18 @@ fn resolve<'t>(
 /// name resolves. The empty slice means the algorithm takes no
 /// parameters. Accepts bare names, not specs.
 pub fn schema_of(name: &str) -> Option<Schema> {
-    let table = table().read().unwrap_or_else(PoisonError::into_inner);
+    let table = read_table();
     resolve(&table, name).map(|(_, schema, _)| schema)
 }
 
 /// All registered names, sorted.
 pub fn names() -> Vec<String> {
-    table()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .keys()
-        .cloned()
-        .collect()
+    read_table().keys().cloned().collect()
 }
 
 /// True if `name` is registered (exact table key, not a spec).
 pub fn contains(name: &str) -> bool {
-    table()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .contains_key(name)
+    read_table().contains_key(name)
 }
 
 #[cfg(test)]
@@ -693,7 +698,7 @@ mod tests {
         // every subsequent test in the process.
         register("test-poison-pre", Box::new(|_| Box::new(Dummy)));
         let _ = std::panic::catch_unwind(|| {
-            let _guard = table().write().unwrap_or_else(PoisonError::into_inner);
+            let _guard = write_table();
             panic!("poison the registry lock");
         });
         assert!(table().is_poisoned(), "lock is genuinely poisoned");

@@ -1594,6 +1594,10 @@ mod tests {
         fn report_mode(&self) -> ReportMode {
             ReportMode::batched_rtt()
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-only sink shared with the test body"
+        )]
         fn on_report(&mut self, rep: &crate::report::MeasurementReport, _ctx: &mut Ctx) {
             let mut s = self
                 .sink
@@ -1606,6 +1610,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-only sink shared with the algorithm"
+    )]
     fn batched_path_aggregates_instead_of_per_ack() {
         let sink = std::sync::Arc::new(std::sync::Mutex::new((0u64, 0u64, 0u64)));
         let mut net = net(21);

@@ -27,6 +27,10 @@ pub struct ReceiverReport {
 
 /// Receive `expected_bytes` of payload on `socket`, acking every datagram,
 /// then return. ACKs go to whichever address each datagram came from.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "real sockets run on the wall clock; no simulated result reads it"
+)]
 pub fn receive(socket: &UdpSocket, expected_bytes: u64) -> std::io::Result<ReceiverReport> {
     let start = Instant::now();
     let mut buf = vec![0u8; 65_536];

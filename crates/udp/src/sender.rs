@@ -366,6 +366,10 @@ impl Driver<'_> {
 /// [`pcc_transport::NoOperatingPoint`]; an expired
 /// [`UdpSenderConfig::dead_time_budget`] is an [`ErrorKind::TimedOut`]
 /// error wrapping [`TransferError::Stalled`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "real sockets run on the wall clock; no simulated result reads it"
+)]
 pub fn send_with(
     socket: &UdpSocket,
     peer: SocketAddr,

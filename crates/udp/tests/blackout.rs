@@ -21,6 +21,10 @@ fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times a real loopback blackout; the wall clock is what is under test"
+)]
 fn rto_backoff_limits_blackout_refires_and_recovers() {
     // Regression for the datapath's missing RTO backoff: a receiver that
     // goes silent mid-transfer used to re-fire the whole-window loss
@@ -144,6 +148,10 @@ fn rto_backoff_limits_blackout_refires_and_recovers() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times a real loopback blackout; the wall clock is what is under test"
+)]
 fn never_returning_receiver_stalls_within_budget_without_parting_burst() {
     // Graceful-degradation hardening: a receiver that ACKs the start of a
     // transfer and then goes silent *forever* must not be retried on the

@@ -58,6 +58,10 @@ fn one_host_drives_concurrent_transfers() {
         w.join().expect("transfer thread");
     }
     // Every HostedCc stub dropped on completion → the host is empty again.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-only check after every worker joined"
+    )]
     let h = host
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);

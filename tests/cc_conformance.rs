@@ -409,7 +409,10 @@ mod hybrid_enforcement {
             seed: 3,
             ..Default::default()
         };
-        // lint: allow(L002) — this test times a real loopback UDP transfer; wall clock is the thing under test, not a simulation input
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this test times a real loopback UDP transfer; wall clock is the thing under test, not a simulation input"
+        )]
         let t0 = std::time::Instant::now();
         pcc::udp::send_with(&tx_sock, rx_addr, cfg, Box::new(cc)).expect("send");
         let elapsed = t0.elapsed();
@@ -591,10 +594,10 @@ fn every_algorithm_moves_data_end_to_end() {
 /// Every registered algorithm certified on the off-path control plane:
 /// driven end-to-end with 1-RTT batched [`MeasurementReport`]s instead of
 /// per-ACK callbacks (`every_algorithm_moves_data_with_batched_reports`
-/// runs this exact list). A registered algorithm missing from this list
-/// fails `batched_conformance_list_matches_the_registry` below — and the
-/// in-repo `pcc-lint` L008 rule cross-checks the literal entries against
-/// every `register_*` call site, so the list cannot silently rot.
+/// runs this exact list). A registered algorithm missing from this list,
+/// or a listed one no longer registered, fails
+/// `batched_conformance_list_matches_the_registry` below, so the list
+/// cannot silently rot.
 const BATCHED_CONFORMANCE: &[&str] = &[
     "bbr",
     "bic",
