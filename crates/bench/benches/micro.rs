@@ -26,7 +26,7 @@ use pcc_experiments::{registry, runner, Opts};
 use pcc_scenarios::perf;
 use pcc_scenarios::protocol::Protocol;
 use pcc_simnet::event::{Event, EventQueue};
-use pcc_simnet::ids::FlowId;
+use pcc_simnet::ids::{FlowId, LinkId, Side};
 use pcc_simnet::packet::Packet;
 use pcc_simnet::queue::{fq_codel, Codel, DropTail, FairQueue, Queue};
 use pcc_simnet::rng::SimRng;
@@ -52,6 +52,36 @@ fn bench_event_queue() {
             black_box(e);
         }
     });
+    bench("event_queue_delay_line_1k", 20, 20, || {
+        let mut q = EventQueue::new();
+        delay_line_stream(&mut q, 1000);
+        while let Some(e) = q.pop() {
+            black_box(e);
+        }
+    });
+}
+
+/// `n` arrivals alternating between two constant-delay wires, with a
+/// timer scheduled after every fourth: the simulator's steady state of
+/// packets in flight plus a few pending timers.
+fn delay_line_stream(q: &mut EventQueue, n: u64) {
+    let pkt = Packet::data(FlowId(0), 0, 1500, SimTime::ZERO, false);
+    for i in 0..n {
+        let sent = SimTime::from_nanos(i * 1_200);
+        let wire = LinkId((i % 2) as u32);
+        q.schedule_arrival(wire, sent + SimDuration::from_millis(15), pkt);
+        if i % 4 == 0 {
+            q.schedule(
+                sent + SimDuration::from_millis(200),
+                Event::Timer {
+                    flow: FlowId(0),
+                    side: Side::Sender,
+                    token: i,
+                    gen: 0,
+                },
+            );
+        }
+    }
 }
 
 fn bench_queues() {
@@ -368,6 +398,7 @@ fn main() {
             for i in 0..100u64 {
                 q.schedule(SimTime::from_nanos(i * 7919 % 1000), Event::Sample);
             }
+            delay_line_stream(&mut q, 100);
             while let Some(e) = q.pop() {
                 black_box(e);
             }

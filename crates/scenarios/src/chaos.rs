@@ -220,6 +220,13 @@ fn outcome(
 /// shim `1`, reverse shim `2`), which is what the script link indices
 /// address.
 fn run_dumbbell_chaos(protocol: &Protocol, text: &str, repair: SimTime, seed: u64) -> ChaosOutcome {
+    let (report, flow) = dumbbell_chaos_report(protocol, text, seed);
+    outcome(&report, &[flow], CHAOS_BYTES, repair)
+}
+
+/// The simulation behind [`run_dumbbell_chaos`]: its raw report and the
+/// one flow's id.
+fn dumbbell_chaos_report(protocol: &Protocol, text: &str, seed: u64) -> (SimReport, FlowId) {
     let script = FaultScript::parse(text).expect("chaos scripts are well-formed");
     let mut net = NetworkBuilder::new(SimConfig {
         sample_interval: SAMPLE,
@@ -255,8 +262,7 @@ fn run_dumbbell_chaos(protocol: &Protocol, text: &str, repair: SimTime, seed: u6
         start_at: SimTime::ZERO,
     });
     net.set_fault_plane(FaultPlane::new(script));
-    let report = net.build().run_until(CHAOS_HORIZON);
-    outcome(&report, &[flow], CHAOS_BYTES, repair)
+    (net.build().run_until(CHAOS_HORIZON), flow)
 }
 
 /// Run four cross-pod flows of `protocol` on a `k=4` fat-tree and kill
@@ -366,6 +372,25 @@ mod tests {
                 script.label()
             );
         }
+    }
+
+    #[test]
+    fn golden_duplicate_fault_window() {
+        // Exact counters captured before packets in flight moved onto
+        // per-link delay lines. Duplicates land at the same instant as
+        // their original, on the rated bottleneck (link 0) and on the
+        // pure-delay forward shim (link 1).
+        let (r, flow) = dumbbell_chaos_report(
+            &Protocol::Tcp("cubic"),
+            "0.5 duplicate 0 1.0 0.2\n0.7 duplicate 1 0.5 0.3\n",
+            13,
+        );
+        let f = &r.flows[flow.index()];
+        assert_eq!(r.events_processed, 14_390);
+        assert_eq!(f.delivered_bytes, 5_133_000);
+        assert_eq!(f.detected_losses, 467);
+        assert_eq!(r.links[0].stats.fault_duplicated, 336);
+        assert_eq!(r.links[1].stats.fault_duplicated, 289);
     }
 
     #[test]

@@ -397,6 +397,58 @@ mod tests {
     }
 
     #[test]
+    fn golden_reordering_jitter_on_the_bottleneck() {
+        // Exact counters captured before packets in flight moved onto
+        // per-link delay lines. Rushed deliveries overtake jittered ones,
+        // so arrivals leave the bottleneck out of order.
+        let setup = LinkSetup::new(20e6, SimDuration::from_millis(30), 75_000).with_jitter(
+            JitterConfig::uniform(SimDuration::from_millis(3)).with_reordering(0.2, 4),
+        );
+        let r = run_single(
+            Protocol::pcc_default(SimDuration::from_millis(30)),
+            setup,
+            SimDuration::from_secs(5),
+            11,
+        );
+        let link = &r.report.links[r.bottleneck.index()].stats;
+        assert!(link.reordered > 0, "the run reorders deliveries");
+        assert_eq!(r.report.events_processed, 29_343);
+        assert_eq!(r.report.flows[0].delivered_bytes, 8_589_000);
+        assert_eq!(r.report.flows[0].detected_losses, 254);
+        assert_eq!(link.reordered, 868);
+    }
+
+    #[test]
+    fn golden_schedule_step_lowers_the_delay() {
+        // Exact counters captured before packets in flight moved onto
+        // per-link delay lines. At 3 s the bottleneck's delay drops from
+        // 20 ms to zero, so new arrivals overtake those still propagating.
+        let mut schedule = LinkSchedule::new();
+        for (secs, ms) in [(1, 20), (3, 0)] {
+            schedule.push(LinkStep {
+                at: SimTime::from_secs(secs),
+                rate_bps: None,
+                delay: Some(SimDuration::from_millis(ms)),
+                loss: None,
+            });
+        }
+        let r = run_dumbbell_scheduled(
+            LinkSetup::new(20e6, SimDuration::from_millis(30), 75_000),
+            vec![FlowPlan::new(
+                Protocol::Tcp("cubic"),
+                SimDuration::from_millis(30),
+            )],
+            SimTime::from_secs(5),
+            17,
+            schedule,
+            None,
+        );
+        assert_eq!(r.report.events_processed, 36_370);
+        assert_eq!(r.report.flows[0].delivered_bytes, 12_120_000);
+        assert_eq!(r.report.flows[0].detected_losses, 352);
+    }
+
+    #[test]
     fn batched_reports_land_near_the_per_ack_baseline() {
         // Tolerance gate for the off-path control plane: the same CUBIC
         // flow fed 1-RTT batched reports must land within 10% of the

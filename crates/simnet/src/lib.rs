@@ -8,8 +8,10 @@
 //!
 //! ## Architecture
 //!
-//! * [`event::EventQueue`] — binary-heap scheduler with deterministic
-//!   tie-breaking.
+//! * [`event::EventQueue`] — scheduler with deterministic tie-breaking:
+//!   packets in flight ride a FIFO per link, and a binary heap orders the
+//!   other events plus the head of each link's FIFO, under one
+//!   `(time, sequence)` order.
 //! * [`link::Link`] — serialization rate + propagation delay + Bernoulli
 //!   egress loss, with an attached [`queue::Queue`] discipline and optional
 //!   time-varying [`link::LinkSchedule`].

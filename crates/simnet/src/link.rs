@@ -110,7 +110,7 @@ impl LinkConfig {
             rate_bps: None,
             delay,
             loss: 0.0,
-            queue: Box::new(DropTail::bytes(u64::MAX)),
+            queue: Box::new(DropTail::unbounded()),
             schedule: LinkSchedule::new(),
             shaper: ShaperConfig::default(),
         }
@@ -633,6 +633,8 @@ mod tests {
             l.propagate(SimTime::from_millis(5)),
             SimTime::from_millis(30)
         );
+        // Nothing is ever queued on a pure-delay link.
+        assert_eq!(l.queue_stats(), QueueStats::default());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 
 /// Lifetime counters every queue maintains.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Packets accepted into the queue.
     pub enqueued: u64,
@@ -126,6 +126,18 @@ impl DropTail {
             q: VecDeque::with_capacity(hint),
             bytes: 0,
             limit,
+            stats: QueueStats::default(),
+        }
+    }
+
+    /// A FIFO with no limit and no pre-sized ring: it allocates nothing
+    /// until its first enqueue. The queue of a pure-delay link, which
+    /// buffers only if a schedule step later gives the link a rate.
+    pub(crate) fn unbounded() -> Self {
+        DropTail {
+            q: VecDeque::new(),
+            bytes: 0,
+            limit: BufferLimit::Bytes(u64::MAX),
             stats: QueueStats::default(),
         }
     }
@@ -581,6 +593,18 @@ mod tests {
             st.dequeued + st.dropped_aqm + q.len_pkts() as u64,
             "queue conservation"
         );
+    }
+
+    #[test]
+    fn unbounded_droptail_allocates_nothing_until_used() {
+        let mut q = DropTail::unbounded();
+        assert_eq!(q.q.capacity(), 0);
+        assert_eq!(q.stats(), QueueStats::default());
+        for s in 0..3 {
+            assert!(q.enqueue(pkt(0, s, 1500), t(0)));
+        }
+        assert_eq!(q.len_bytes(), 4500);
+        assert_conserved(&q);
     }
 
     #[test]

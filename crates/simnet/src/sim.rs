@@ -312,12 +312,13 @@ impl NetworkBuilder {
 
     /// Finalize into a runnable [`Simulation`].
     pub fn build(self) -> Simulation {
-        // Pending events scale with packets in flight: per flow roughly a
-        // window of arrivals plus a handful of timers, per link a
-        // serialization completion. 512 events per flow comfortably covers
-        // every BDP in the evaluation; the cap keeps incast-style
-        // many-flow scenarios from pre-allocating megabytes.
-        let hint = (self.flows.len() * 512 + self.links.len() * 2).clamp(1024, 65_536);
+        // Packets in flight ride their link's wire, so the heap holds only
+        // per link a wire head and a serialization completion, and per
+        // flow its start and a handful of pending timers. The cap keeps
+        // incast-style many-flow scenarios from pre-allocating megabytes;
+        // churn, whose heap grows with retired flows' stale timers,
+        // reallocates a few times.
+        let hint = (self.flows.len() * 16 + self.links.len() * 2).clamp(64, 16_384);
         // Deriving is consumption-independent, so taking the fault stream
         // unconditionally leaves every other stream untouched.
         let fault_rng = self.rng.derive(FAULT_RNG_SALT);
@@ -485,13 +486,11 @@ impl Simulation {
                 }
                 if let Some((mut pkt, arrive_at)) = res.delivered {
                     pkt.hop += 1;
-                    self.events
-                        .schedule(arrive_at, Event::Arrive { packet: pkt });
+                    self.events.schedule_arrival(link, arrive_at, pkt);
                 }
                 if let Some((mut pkt, arrive_at)) = res.duplicate {
                     pkt.hop += 1;
-                    self.events
-                        .schedule(arrive_at, Event::Arrive { packet: pkt });
+                    self.events.schedule_arrival(link, arrive_at, pkt);
                 }
             }
             Event::Arrive { packet } => {
@@ -713,9 +712,9 @@ impl Simulation {
             if !link.roll_loss_counted() && !link.roll_corrupt() {
                 let at = link.shape_arrival(link.propagate(self.now));
                 pkt.hop += 1;
-                self.events.schedule(at, Event::Arrive { packet: pkt });
+                self.events.schedule_arrival(link_id, at, pkt);
                 if link.roll_duplicate() {
-                    self.events.schedule(at, Event::Arrive { packet: pkt });
+                    self.events.schedule_arrival(link_id, at, pkt);
                 }
             }
             return;
