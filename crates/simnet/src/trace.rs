@@ -150,6 +150,7 @@ impl LinkTrace {
     pub fn parse(name: &str, text: &str) -> Result<LinkTrace, TraceError> {
         let mut points = Vec::new();
         let mut period = None;
+        let mut loop_line = 0;
         for (i, raw) in text.lines().enumerate() {
             let lineno = i + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -168,6 +169,7 @@ impl LinkTrace {
                     return Err(err(lineno, "loop period must be positive"));
                 }
                 period = Some(SimDuration::from_secs_f64(secs));
+                loop_line = lineno;
                 continue;
             }
             let cols: Vec<&str> = line.split_whitespace().collect();
@@ -231,6 +233,14 @@ impl LinkTrace {
                 delay,
                 loss,
             });
+        }
+        if let (Some(period), Some(last)) = (period, points.last()) {
+            if period <= last.at {
+                return Err(err(
+                    loop_line,
+                    "loop period must exceed the last sample time",
+                ));
+            }
         }
         LinkTrace::from_points(name, points, period).map_err(|mut e| {
             // from_points re-checks structure it cannot attribute to a line.
@@ -433,6 +443,12 @@ mod tests {
             assert!(e.reason.contains(needle), "{text:?} → {e}");
             assert!(e.to_string().contains("line"), "{e}");
         }
+        // A too-short loop period is the `loop` directive's fault, not the
+        // file's last line (here a comment).
+        let e = LinkTrace::parse("bad", "0 10\nloop 0.5\n1 10\n# trailing comment\n")
+            .expect_err("period too short");
+        assert!(e.reason.contains("exceed the last sample"), "{e}");
+        assert_eq!(e.line, 2, "{e}");
     }
 
     #[test]

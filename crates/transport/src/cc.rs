@@ -148,8 +148,6 @@ pub enum ReportInterval {
     /// A multiple of the smoothed RTT, re-evaluated at each report
     /// boundary (the adaptive default: 1 RTT).
     Rtts(f64),
-    /// A fixed wall-clock interval.
-    Fixed(SimDuration),
 }
 
 /// How the engine delivers measurement feedback to an algorithm.
@@ -207,7 +205,7 @@ pub struct Effects {
 impl Effects {
     /// Take everything requested so far. Used by
     /// [`crate::sender::CcSender`] and by anything else hosting an
-    /// algorithm (the off-path host, algorithm unit tests).
+    /// algorithm (algorithm unit tests).
     pub fn drain(&mut self) -> Decisions {
         Decisions {
             rate: self.new_rate.take(),
@@ -318,8 +316,7 @@ pub trait CongestionControl: Send {
     /// [`ReportMode::Batched`] makes the engine aggregate locally and
     /// deliver one [`MeasurementReport`] per interval through
     /// [`CongestionControl::on_report`] instead. Engines may override the
-    /// preference per flow (e.g. a host driving many flows batches all of
-    /// them).
+    /// preference per flow ([`crate::sender::CcSenderConfig::report`]).
     fn report_mode(&self) -> ReportMode {
         ReportMode::PerAck
     }

@@ -72,8 +72,8 @@ pub struct CcSenderConfig {
     pub tso_flush: SimDuration,
     /// Feedback path override. `None` (the default) honours the
     /// algorithm's own [`CongestionControl::report_mode`] preference;
-    /// `Some` forces per-ACK or batched delivery regardless — e.g. a host
-    /// driving many flows off-path batches all of them.
+    /// `Some` forces per-ACK or batched delivery regardless — e.g. a
+    /// `--batched` run puts every flow on 1-RTT reports.
     pub report: Option<ReportMode>,
     /// Dead-time budget: if the flow makes no forward progress (no new
     /// cumulative bytes acknowledged) for this long while the RTO keeps
@@ -852,7 +852,6 @@ impl CcSender {
                 .srtt_or(SimDuration::from_millis(100))
                 .mul_f64(k)
                 .max(SimDuration::from_millis(1)),
-            ReportMode::Batched(ReportInterval::Fixed(d)) => d.max(SimDuration::from_micros(100)),
             // Unreachable: the report timer is only armed in batched mode.
             ReportMode::PerAck => SimDuration::MAX,
         }

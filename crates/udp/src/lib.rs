@@ -12,12 +12,10 @@
 //! congestion window (any TCP baseline), or both (paced TCP, BBR).
 //!
 //! Resolve algorithms by name with [`send_named`] (via the workspace
-//! registry; unknown names are a typed error), hand a constructed
-//! algorithm to [`send_with`], or park the algorithm's brain in a shared
-//! off-path [`pcc_transport::CcHost`] with [`send_hosted`] — one host
-//! drives all of a process's concurrent transfers, consuming batched
-//! [`pcc_transport::MeasurementReport`]s when the algorithm (or a
-//! [`UdpSenderConfig::report`] override) opts in.
+//! registry; unknown names are a typed error) or hand a constructed
+//! algorithm to [`send_with`]. Either way the algorithm hears batched
+//! [`pcc_transport::MeasurementReport`]s instead of per-ACK callbacks
+//! when it (or a [`UdpSenderConfig::report`] override) opts in.
 //!
 //! See `examples/udp_transfer.rs` at the workspace root for a loopback
 //! demonstration (pick the algorithm on the command line), and
@@ -29,6 +27,5 @@ pub mod wire;
 
 pub use receiver::{receive, ReceiverReport};
 pub use sender::{
-    install_registry, send_hosted, send_named, send_pcc, send_with, wire_mss, SenderReport,
-    UdpSenderConfig,
+    install_registry, send_named, send_pcc, send_with, wire_mss, SenderReport, UdpSenderConfig,
 };

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use pcc_simnet::endpoint::{Action, Endpoint, EndpointCtx};
 use pcc_simnet::ids::{FlowId, Side};
-use pcc_simnet::packet::Packet;
+use pcc_simnet::packet::{Packet, PacketKind};
 use pcc_simnet::rng::SimRng;
 use pcc_simnet::time::SimTime;
 use pcc_transport::receiver::SackReceiver;
@@ -50,7 +50,10 @@ pub fn receive(socket: &UdpSocket, expected_bytes: u64) -> std::io::Result<Recei
         };
         // Goodput counts payload bytes, so the packet's size is the payload.
         let sent_at = SimTime::from_nanos(h.sent_us.saturating_mul(1_000));
-        let pkt = Packet::data(FlowId(0), h.seq, payload.len() as u32, sent_at, h.retx);
+        let mut pkt = Packet::data(FlowId(0), h.seq, payload.len() as u32, sent_at, h.retx);
+        if let PacketKind::Data(d) = &mut pkt.kind {
+            d.probe_train = h.probe_train;
+        }
         let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
         rx.on_packet(
             &pkt,

@@ -28,7 +28,6 @@ use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_transport::cc::{CongestionControl, ReportMode};
 use pcc_transport::error::TransferError;
 use pcc_transport::flow::{FlowSize, TransportConfig};
-use pcc_transport::host::{HostedCc, SharedHost};
 use pcc_transport::registry::{self, CcParams, SpecError};
 use pcc_transport::sender::{CcSender, CcSenderConfig};
 
@@ -165,23 +164,6 @@ pub fn send_named(
     }
 }
 
-/// Send with the algorithm's brain living in a shared
-/// [`CcHost`](pcc_transport::CcHost) — the
-/// off-path control plane on the real-socket datapath. The flow is
-/// registered with `host`, every engine event is forwarded through the
-/// host's command queue, and one host can drive all of a process's
-/// concurrent transfers. The flow is removed from the host when the
-/// transfer ends.
-pub fn send_hosted(
-    socket: &UdpSocket,
-    peer: SocketAddr,
-    cfg: UdpSenderConfig,
-    host: SharedHost,
-    cc: Box<dyn CongestionControl>,
-) -> std::io::Result<SenderReport> {
-    send_with(socket, peer, cfg, Box::new(HostedCc::new(host, cc)))
-}
-
 /// The RTO floor on the real-socket datapath. A loopback RTT is tens of
 /// microseconds; the simulator's 200 ms TCP floor would idle a window
 /// algorithm for thousands of RTTs after every timeout.
@@ -275,6 +257,7 @@ impl Driver<'_> {
                     seq: d.seq,
                     sent_us: d.sent_at.as_nanos() / 1_000,
                     retx: d.retx,
+                    probe_train: d.probe_train,
                 };
                 match self
                     .socket

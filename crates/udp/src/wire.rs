@@ -1,7 +1,8 @@
-//! Wire format for the UDP transport: fixed 40-byte headers, no payload
-//! compression, everything big-endian. The headers carry the simulator's
-//! packet metadata (timestamps truncated to microseconds), so the same
-//! sender engine and receiver drive both datapaths. Encoding is plain
+//! Wire format for the UDP transport: a fixed 40-byte data header, a
+//! 48-byte ACK frame, no payload compression, everything big-endian. The
+//! frames carry the simulator's packet metadata (timestamps truncated to
+//! microseconds, the probe-train tag as `tag + 1` with 0 for none), so the
+//! same sender engine and receiver drive both datapaths. Encoding is plain
 //! `Vec<u8>`/slice work — no external buffer crates.
 
 use pcc_simnet::packet::AckInfo;
@@ -9,8 +10,10 @@ use pcc_simnet::time::SimTime;
 
 /// Magic tag guarding against stray datagrams.
 pub const MAGIC: u32 = 0x9CC0_2015;
-/// Header length for both packet kinds.
+/// Data header length; the payload follows it.
 pub const HEADER_LEN: usize = 40;
+/// ACK frame length.
+const ACK_LEN: usize = HEADER_LEN + 8;
 
 /// A data segment header (payload follows).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,6 +24,8 @@ pub struct DataHeader {
     pub sent_us: u64,
     /// Retransmission flag.
     pub retx: bool,
+    /// Probe-train tag (PCP-style probing), echoed back in the ACK.
+    pub probe_train: Option<u32>,
 }
 
 /// A selective acknowledgement.
@@ -36,6 +41,8 @@ pub struct AckPacket {
     pub recv_us: u64,
     /// The acked packet was a retransmission.
     pub of_retx: bool,
+    /// Echo of the data packet's probe-train tag.
+    pub probe_train: Option<u32>,
 }
 
 impl AckPacket {
@@ -47,11 +54,12 @@ impl AckPacket {
             echo_sent_us: info.echo_sent_at.as_nanos() / 1_000,
             recv_us: info.recv_at.as_nanos() / 1_000,
             of_retx: info.of_retx,
+            probe_train: info.probe_train,
         }
     }
 
     /// The ACK metadata the sender engine consumes. The receiver's byte
-    /// count and the probe-train tag do not travel on the wire.
+    /// count does not travel on the wire.
     pub fn info(&self) -> AckInfo {
         AckInfo {
             acked_seq: self.acked_seq,
@@ -59,7 +67,7 @@ impl AckPacket {
             echo_sent_at: SimTime::from_nanos(self.echo_sent_us.saturating_mul(1_000)),
             recv_at: SimTime::from_nanos(self.recv_us.saturating_mul(1_000)),
             recv_bytes: 0,
-            probe_train: None,
+            probe_train: self.probe_train,
             of_retx: self.of_retx,
         }
     }
@@ -86,6 +94,16 @@ fn get_u64(buf: &[u8], at: usize) -> u64 {
     u64::from_be_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
 }
 
+fn put_tag(buf: &mut Vec<u8>, tag: Option<u32>) {
+    put_u64(buf, tag.map_or(0, |t| u64::from(t) + 1));
+}
+
+fn get_tag(buf: &[u8], at: usize) -> Option<u32> {
+    get_u64(buf, at)
+        .checked_sub(1)
+        .and_then(|t| u32::try_from(t).ok())
+}
+
 fn header(kind: u8, flag: bool) -> Vec<u8> {
     let mut b = Vec::with_capacity(HEADER_LEN);
     b.extend_from_slice(&MAGIC.to_be_bytes());
@@ -101,7 +119,7 @@ pub fn encode_data(h: &DataHeader, payload: &[u8]) -> Vec<u8> {
     b.reserve(HEADER_LEN - b.len() + payload.len());
     put_u64(&mut b, h.seq);
     put_u64(&mut b, h.sent_us);
-    put_u64(&mut b, 0); // reserved
+    put_tag(&mut b, h.probe_train);
     put_u64(&mut b, 0); // reserved
     debug_assert_eq!(b.len(), HEADER_LEN);
     b.extend_from_slice(payload);
@@ -111,11 +129,13 @@ pub fn encode_data(h: &DataHeader, payload: &[u8]) -> Vec<u8> {
 /// Encode an ACK frame.
 pub fn encode_ack(a: &AckPacket) -> Vec<u8> {
     let mut b = header(KIND_ACK, a.of_retx);
+    b.reserve(ACK_LEN - b.len());
     put_u64(&mut b, a.acked_seq);
     put_u64(&mut b, a.cum_ack);
     put_u64(&mut b, a.echo_sent_us);
     put_u64(&mut b, a.recv_us);
-    debug_assert_eq!(b.len(), HEADER_LEN);
+    put_tag(&mut b, a.probe_train);
+    debug_assert_eq!(b.len(), ACK_LEN);
     b
 }
 
@@ -132,15 +152,17 @@ pub fn decode(buf: &[u8]) -> Option<Frame<'_>> {
                 seq: get_u64(buf, 8),
                 sent_us: get_u64(buf, 16),
                 retx: flag,
+                probe_train: get_tag(buf, 24),
             },
             &buf[HEADER_LEN..],
         )),
-        KIND_ACK => Some(Frame::Ack(AckPacket {
+        KIND_ACK if buf.len() >= ACK_LEN => Some(Frame::Ack(AckPacket {
             acked_seq: get_u64(buf, 8),
             cum_ack: get_u64(buf, 16),
             echo_sent_us: get_u64(buf, 24),
             recv_us: get_u64(buf, 32),
             of_retx: flag,
+            probe_train: get_tag(buf, 40),
         })),
         _ => None,
     }
@@ -150,38 +172,52 @@ pub fn decode(buf: &[u8]) -> Option<Frame<'_>> {
 mod tests {
     use super::*;
 
+    /// No tag, plus the two ends of the `tag + 1` encoding. PCP's train
+    /// tag must survive both directions, or no train ever completes over
+    /// real sockets.
+    const TAGS: [Option<u32>; 3] = [None, Some(0), Some(u32::MAX)];
+
     #[test]
     fn data_roundtrip() {
-        let h = DataHeader {
-            seq: 123456789,
-            sent_us: 42_000_000,
-            retx: true,
-        };
-        let payload = vec![7u8; 1000];
-        let wire = encode_data(&h, &payload);
-        assert_eq!(wire.len(), HEADER_LEN + 1000);
-        match decode(&wire).expect("decodes") {
-            Frame::Data(h2, p) => {
-                assert_eq!(h, h2);
-                assert_eq!(p.len(), 1000);
-                assert!(p.iter().all(|&b| b == 7));
+        for probe_train in TAGS {
+            let h = DataHeader {
+                seq: 123456789,
+                sent_us: 42_000_000,
+                retx: true,
+                probe_train,
+            };
+            let payload = vec![7u8; 1000];
+            let wire = encode_data(&h, &payload);
+            assert_eq!(wire.len(), HEADER_LEN + 1000);
+            match decode(&wire).expect("decodes") {
+                Frame::Data(h2, p) => {
+                    assert_eq!(h, h2);
+                    assert_eq!(p.len(), 1000);
+                    assert!(p.iter().all(|&b| b == 7));
+                }
+                other => panic!("wrong frame {other:?}"),
             }
-            other => panic!("wrong frame {other:?}"),
         }
     }
 
     #[test]
     fn ack_roundtrip() {
-        let a = AckPacket {
-            acked_seq: 55,
-            cum_ack: 50,
-            echo_sent_us: 999,
-            recv_us: 1001,
-            of_retx: false,
-        };
-        match decode(&encode_ack(&a)).expect("decodes") {
-            Frame::Ack(a2) => assert_eq!(a, a2),
-            other => panic!("wrong frame {other:?}"),
+        for probe_train in TAGS {
+            let a = AckPacket {
+                acked_seq: 55,
+                cum_ack: 50,
+                echo_sent_us: 999,
+                recv_us: 1001,
+                of_retx: false,
+                probe_train,
+            };
+            match decode(&encode_ack(&a)).expect("decodes") {
+                Frame::Ack(a2) => {
+                    assert_eq!(a, a2);
+                    assert_eq!(a2.info().probe_train, probe_train);
+                }
+                other => panic!("wrong frame {other:?}"),
+            }
         }
     }
 
@@ -193,15 +229,17 @@ mod tests {
         junk.push(99); // unknown kind
         junk.extend_from_slice(&[0u8; 64]);
         assert_eq!(decode(&junk), None);
-        // Truncated.
+        // Truncated, including an ACK cut just short of its tag.
         let a = AckPacket {
             acked_seq: 1,
             cum_ack: 1,
             echo_sent_us: 0,
             recv_us: 0,
             of_retx: false,
+            probe_train: Some(3),
         };
-        let short = &encode_ack(&a)[0..10];
-        assert_eq!(decode(short), None);
+        for cut in [10, HEADER_LEN, ACK_LEN - 1] {
+            assert_eq!(decode(&encode_ack(&a)[..cut]), None, "cut at {cut}");
+        }
     }
 }

@@ -80,6 +80,7 @@ fn rto_backoff_limits_blackout_refires_and_recovers() {
                 echo_sent_us: h.sent_us,
                 recv_us: start.elapsed().as_micros() as u64,
                 of_retx: h.retx,
+                probe_train: h.probe_train,
             };
             socket.send_to(&encode_ack(&ack), from)?;
             if dark.is_zero() && unique >= pause_after_bytes {
@@ -211,6 +212,7 @@ fn never_returning_receiver_stalls_within_budget_without_parting_burst() {
                 echo_sent_us: h.sent_us,
                 recv_us: start.elapsed().as_micros() as u64,
                 of_retx: h.retx,
+                probe_train: h.probe_train,
             };
             socket.send_to(&encode_ack(&ack), from)?;
         }
