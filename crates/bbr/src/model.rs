@@ -10,8 +10,12 @@
 //! `(delivered_now − delivered_at_send) / (now − sent_at)` — measures the
 //! rate the network actually sustained, independent of how ACKs were
 //! batched on the return path.
+//!
+//! The sampler runs on every send and every ACK, so its records live in a
+//! ring indexed by sequence number: recording, taking and pruning a record
+//! are all amortised O(1).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use pcc_simnet::time::{SimDuration, SimTime};
 
@@ -130,7 +134,12 @@ pub struct RateSample {
 #[derive(Clone, Debug, Default)]
 pub struct DeliverySampler {
     delivered: u64,
-    records: BTreeMap<u64, SendRecord>,
+    /// Slot `i` holds the send record of sequence `base + i`, if that
+    /// sequence still has one: an original send, not yet acked, declared
+    /// lost or passed by the cumulative ack.
+    records: VecDeque<Option<SendRecord>>,
+    /// Sequence of the ring's first slot.
+    base: u64,
 }
 
 impl DeliverySampler {
@@ -144,19 +153,35 @@ impl DeliverySampler {
         self.delivered
     }
 
+    /// The record slot of `seq`, if the ring spans it.
+    fn slot(&mut self, seq: u64) -> Option<&mut Option<SendRecord>> {
+        let i = seq.checked_sub(self.base)?;
+        self.records.get_mut(usize::try_from(i).ok()?)
+    }
+
     /// A packet left the sender. Retransmissions are not recorded: an ACK
     /// of a retransmitted sequence is ambiguous about which flight it
-    /// measures.
+    /// measures. Original sends arrive in sequence order, so each record
+    /// lands at or past the ring's end.
     pub fn on_sent(&mut self, seq: u64, now: SimTime, retx: bool) {
-        if !retx {
-            self.records.insert(
-                seq,
-                SendRecord {
-                    delivered: self.delivered,
-                    sent_at: now,
-                },
-            );
+        if retx {
+            return;
         }
+        if self.records.is_empty() {
+            self.base = seq;
+        }
+        let Some(i) = seq.checked_sub(self.base) else {
+            debug_assert!(false, "original {seq} sent below the sampler's base");
+            return;
+        };
+        let i = i as usize;
+        if i >= self.records.len() {
+            self.records.resize(i + 1, None);
+        }
+        self.records[i] = Some(SendRecord {
+            delivered: self.delivered,
+            sent_at: now,
+        });
     }
 
     /// An ACK advanced delivery by `newly_acked` packets; if `seq` has an
@@ -174,31 +199,49 @@ impl DeliverySampler {
         self.delivered += u64::from(newly_acked);
         // Take the acked record *before* pruning: the cumulative ack
         // usually covers `seq` itself.
-        let rec = self.records.remove(&seq);
+        let rec = self.slot(seq).and_then(Option::take);
         // Everything below the cumulative ack can never be sampled again.
-        self.records = self.records.split_off(&cum_ack);
-        let rec = rec?;
-        if of_retx {
-            return None;
-        }
-        let interval = now.saturating_since(rec.sent_at);
-        if interval.is_zero() {
-            return None;
-        }
-        let pkts = self.delivered.saturating_sub(rec.delivered) as f64;
-        Some(RateSample {
-            bw_bps: pkts * mss as f64 * 8.0 / interval.as_secs_f64(),
-            delivered_at_send: rec.delivered,
-        })
+        let pruned = cum_ack
+            .saturating_sub(self.base)
+            .min(self.records.len() as u64);
+        self.records.drain(..pruned as usize);
+        self.base += pruned;
+        rate_sample(rec?, self.delivered, of_retx, mss, now)
     }
 
     /// Sequences were declared lost: their records can no longer produce a
     /// clean sample (any later ACK will be for a retransmission).
     pub fn on_loss(&mut self, seqs: &[u64]) {
-        for seq in seqs {
-            self.records.remove(seq);
+        for &seq in seqs {
+            if let Some(slot) = self.slot(seq) {
+                *slot = None;
+            }
         }
     }
+}
+
+/// The sample an ACK completes for the packet sent per `rec`, with
+/// `delivered` packets now delivered. None for a retransmission's ACK or a
+/// zero-length flight.
+fn rate_sample(
+    rec: SendRecord,
+    delivered: u64,
+    of_retx: bool,
+    mss: u32,
+    now: SimTime,
+) -> Option<RateSample> {
+    if of_retx {
+        return None;
+    }
+    let interval = now.saturating_since(rec.sent_at);
+    if interval.is_zero() {
+        return None;
+    }
+    let pkts = delivered.saturating_sub(rec.delivered) as f64;
+    Some(RateSample {
+        bw_bps: pkts * mss as f64 * 8.0 / interval.as_secs_f64(),
+        delivered_at_send: rec.delivered,
+    })
 }
 
 #[cfg(test)]
@@ -276,5 +319,110 @@ mod tests {
         assert!(s
             .on_ack(50, 100, 0, false, 1500, SimTime::from_millis(2))
             .is_none());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Reference model: the sampler with its records in a `BTreeMap`
+    /// pruned by `split_off` on every ACK.
+    #[derive(Default)]
+    struct MapSampler {
+        delivered: u64,
+        records: BTreeMap<u64, SendRecord>,
+    }
+
+    impl MapSampler {
+        fn on_sent(&mut self, seq: u64, now: SimTime, retx: bool) {
+            if !retx {
+                let rec = SendRecord {
+                    delivered: self.delivered,
+                    sent_at: now,
+                };
+                self.records.insert(seq, rec);
+            }
+        }
+
+        fn on_ack(
+            &mut self,
+            seq: u64,
+            cum_ack: u64,
+            newly_acked: u32,
+            of_retx: bool,
+            mss: u32,
+            now: SimTime,
+        ) -> Option<RateSample> {
+            self.delivered += u64::from(newly_acked);
+            let rec = self.records.remove(&seq);
+            self.records = self.records.split_off(&cum_ack);
+            rate_sample(rec?, self.delivered, of_retx, mss, now)
+        }
+
+        fn on_loss(&mut self, seqs: &[u64]) {
+            for seq in seqs {
+                self.records.remove(seq);
+            }
+        }
+    }
+
+    fn bits(s: Option<RateSample>) -> Option<(u64, u64)> {
+        s.map(|s| (s.bw_bps.to_bits(), s.delivered_at_send))
+    }
+
+    proptest! {
+        /// The ring gives the `BTreeMap` sampler's samples, bit for bit,
+        /// under originals sent in order (sometimes skipping sequences),
+        /// retransmissions, ACKs with holes, reordered and repeated
+        /// cumulative points, and losses.
+        #[test]
+        fn ring_matches_the_map_sample_for_sample(
+            script in proptest::collection::vec((0u8..10, 0u64..40, 0u64..4), 1..500),
+        ) {
+            let mut ring = DeliverySampler::new();
+            let mut map = MapSampler::default();
+            let mut now = SimTime::ZERO;
+            let mut next_seq = 0u64;
+            let mut cum = 0u64;
+            for (op, a, b) in script {
+                now += SimDuration::from_millis(b);
+                // ACKs and losses name sequences around the live window.
+                let seq = (cum + a).saturating_sub(8);
+                match op {
+                    0..=3 => {
+                        // An original, now and then past a skipped sequence.
+                        next_seq += u64::from(a % 16 == 0);
+                        ring.on_sent(next_seq, now, false);
+                        map.on_sent(next_seq, now, false);
+                        next_seq += 1;
+                    }
+                    4 => {
+                        ring.on_sent(seq, now, true);
+                        map.on_sent(seq, now, true);
+                    }
+                    5..=7 => {
+                        // Cumulative points mostly advance, but a reordered
+                        // ACK can carry an older one.
+                        let cum_ack = if b == 0 { cum.saturating_sub(a % 4) } else { (cum + b).min(next_seq) };
+                        cum = cum.max(cum_ack);
+                        let newly = (a % 5) as u32;
+                        let of_retx = a % 7 == 0;
+                        prop_assert_eq!(
+                            bits(ring.on_ack(seq, cum_ack, newly, of_retx, 1500, now)),
+                            bits(map.on_ack(seq, cum_ack, newly, of_retx, 1500, now))
+                        );
+                    }
+                    _ => {
+                        let seqs = [seq, seq + b];
+                        ring.on_loss(&seqs);
+                        map.on_loss(&seqs);
+                    }
+                }
+                prop_assert_eq!(ring.delivered(), map.delivered);
+            }
+        }
     }
 }

@@ -16,6 +16,7 @@
 //! `target/bench/BENCH.json`): per-scenario events/sec and simulated
 //! seconds per wall second, and the suite serial-vs-parallel wall clock.
 
+use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -27,12 +28,12 @@ use pcc_scenarios::perf;
 use pcc_scenarios::protocol::Protocol;
 use pcc_simnet::event::{Event, EventQueue};
 use pcc_simnet::ids::{FlowId, LinkId, Side};
-use pcc_simnet::packet::Packet;
+use pcc_simnet::packet::{AckInfo, Packet};
 use pcc_simnet::queue::{fq_codel, Codel, DropTail, FairQueue, Queue};
 use pcc_simnet::rng::SimRng;
 use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_transport::report::ReportAggregator;
-use pcc_transport::{registry as cc_registry, AckEvent, Ctx, Effects, SentEvent};
+use pcc_transport::{registry as cc_registry, AckEvent, Ctx, Effects, Scoreboard, SentEvent};
 
 fn fast_mode() -> bool {
     std::env::var_os("PCC_BENCH_FAST").is_some_and(|v| v != "0")
@@ -324,6 +325,99 @@ fn bench_cc_dispatch(out: &mut BenchReport) {
     }
 }
 
+/// The scoreboard's per-ACK loss bookkeeping in PCC's rate mode, alone: a
+/// 250-packet window (100 Mbps over a 30 ms RTT), every packet SACKed one
+/// RTT after it left and followed by a loss scan at RTO = 1.05 × RTT —
+/// the rate-mode RTO sits just above the RTT. 1% of originals are dropped
+/// and retransmitted once the reordering rule finds them. One event is one
+/// ACK plus its scan.
+fn bench_scoreboard(out: &mut BenchReport) {
+    const ACKS: u64 = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        200_000
+    };
+    let rtt = SimDuration::from_millis(30);
+    let rto = SimDuration::from_nanos(rtt.as_nanos() * 105 / 100);
+    let gap = SimDuration::from_nanos(rtt.as_nanos() / 250);
+    let runs = if fast_mode() { 2 } else { 5 };
+
+    let drive = || -> f64 {
+        let mut sb = Scoreboard::new();
+        // `(arrive_at, seq, sent_at)`: every packet takes exactly one RTT,
+        // so arrivals stay in order.
+        let mut arrivals: VecDeque<(SimTime, u64, SimTime)> = VecDeque::new();
+        let mut received: Vec<bool> = Vec::new();
+        let (mut cum, mut acks) = (0u64, 0u64);
+        let mut next_send = SimTime::ZERO;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the benchmark clock: times deterministic work, never feeds it"
+        )]
+        let t0 = Instant::now();
+        while acks < ACKS {
+            match arrivals.front() {
+                Some(&(now, seq, sent_at)) if now <= next_send => {
+                    arrivals.pop_front();
+                    received[seq as usize] = true;
+                    while received.get(cum as usize) == Some(&true) {
+                        cum += 1;
+                    }
+                    let info = AckInfo {
+                        acked_seq: seq,
+                        cum_ack: cum,
+                        echo_sent_at: sent_at,
+                        recv_at: now,
+                        probe_train: None,
+                        of_retx: false,
+                    };
+                    black_box(sb.on_ack(&info, now));
+                    for seq in sb.detect_losses(now, rto) {
+                        sb.on_send(seq, now, true);
+                        arrivals.push_back((now + rtt, seq, now));
+                    }
+                    acks += 1;
+                }
+                _ => {
+                    let (now, seq) = (next_send, sb.next_seq());
+                    sb.on_send(seq, now, false);
+                    received.push(false);
+                    if seq % 100 != 37 {
+                        arrivals.push_back((now + rtt, seq, now));
+                    }
+                    next_send = now + gap;
+                }
+            }
+        }
+        let ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let losses = sb.total_losses();
+        assert!(
+            losses > 0 && losses * 100 <= sb.next_seq() + 100,
+            "only the 1% holes are lost: {losses} of {}",
+            sb.next_seq()
+        );
+        ms
+    };
+
+    let mut best_ms = f64::MAX;
+    for _ in 0..runs {
+        best_ms = best_ms.min(drive());
+    }
+    let s = Scenario {
+        name: "scoreboard_rate_mode_ack_clock".to_string(),
+        wall_ms: best_ms,
+        events: ACKS,
+        sim_secs: (ACKS * gap.as_nanos()) as f64 / 1e9,
+    };
+    println!(
+        "{:<32} best {best_ms:>9.3}ms   {:>12.0} events/s   {:>8.1} sim-s/wall-s",
+        s.name,
+        s.events_per_sec(),
+        s.sim_secs_per_wall_sec(),
+    );
+    out.scenarios.push(s);
+}
+
 /// Time a subset of the experiment registry serially (`jobs = 1`) and in
 /// parallel (`jobs = N`): the BENCH.json datapoint for the parallel
 /// runner. Tables print as a side effect (they are the workload).
@@ -419,6 +513,7 @@ fn main() {
     bench_full_sim(&mut out);
     bench_batched_sim(&mut out);
     bench_cc_dispatch(&mut out);
+    bench_scoreboard(&mut out);
     bench_experiments_suite(&mut out);
     let path = BenchReport::default_path();
     match out.write(&path) {

@@ -206,6 +206,37 @@ mod tests {
         );
     }
 
+    /// `(events_processed, delivered_bytes, sent_packets, detected_losses)`
+    /// of flow 0 in a 5 s Fig. 7 cell at 1% loss.
+    fn lossy_counters(protocol: Protocol, seed: u64) -> (u64, u64, u64, u64) {
+        let r = run_lossy(protocol, 0.01, SimDuration::from_secs(5), seed);
+        let f = &r.report.flows[0];
+        (
+            r.report.events_processed,
+            f.delivered_bytes,
+            f.sent_packets,
+            f.detected_losses,
+        )
+    }
+
+    #[test]
+    fn golden_lossy_pcc_timeout_rule() {
+        // Exact counters captured before the scoreboard's timeout rule
+        // moved from a gated full-window sweep to a cursor over originals
+        // plus a queue of retransmissions. In rate mode the RTO sits just
+        // above the RTT, so the timeout rule has work on many ACKs here.
+        let got = lossy_counters(Protocol::pcc_default(SimDuration::from_millis(30)), 1);
+        assert_eq!(got, (179_670, 52_939_500, 37_833, 2_734));
+    }
+
+    #[test]
+    fn golden_lossy_bbr_delivery_sampler() {
+        // Exact counters captured before BBR's delivery sampler moved from
+        // a `BTreeMap` to a sequence-indexed ring.
+        let got = lossy_counters(Protocol::Named("bbr".into()), 1);
+        assert_eq!(got, (203_652, 60_315_000, 41_428, 1_366));
+    }
+
     #[test]
     fn shallow_buffer_pcc_efficient() {
         // Fig. 9 shape: with a 9 KB (6-packet) buffer PCC reaches most of

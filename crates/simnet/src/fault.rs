@@ -900,7 +900,6 @@ mod proptests {
                 cum_ack: self.received,
                 echo_sent_at: d.sent_at,
                 recv_at: ctx.now,
-                recv_bytes: self.received * 1500,
                 probe_train: d.probe_train,
                 of_retx: d.retx,
             });

@@ -37,8 +37,6 @@ pub struct AckInfo {
     /// Receiver timestamp when the data packet arrived (for dispersion-based
     /// bandwidth probing, e.g. PCP packet trains).
     pub recv_at: SimTime,
-    /// Total data bytes the receiver has accepted so far (goodput counter).
-    pub recv_bytes: u64,
     /// Echo of the data packet's probe-train tag.
     pub probe_train: Option<u32>,
     /// Whether the acked packet was a retransmission.
@@ -157,7 +155,6 @@ mod tests {
             cum_ack: 8,
             echo_sent_at: SimTime::from_millis(1),
             recv_at: SimTime::from_millis(2),
-            recv_bytes: 12_000,
             probe_train: None,
             of_retx: false,
         };

@@ -996,7 +996,6 @@ mod tests {
                 cum_ack: self.received,
                 echo_sent_at: d.sent_at,
                 recv_at: ctx.now,
-                recv_bytes: self.received * 1500,
                 probe_train: d.probe_train,
                 of_retx: d.retx,
             });

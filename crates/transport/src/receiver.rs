@@ -88,7 +88,6 @@ impl Endpoint for SackReceiver {
             cum_ack: self.cum_ack,
             echo_sent_at: data.sent_at,
             recv_at: ctx.now,
-            recv_bytes: self.recv_bytes,
             probe_train: data.probe_train,
             of_retx: data.retx,
         });
@@ -135,7 +134,7 @@ mod tests {
         assert_eq!(a0.echo_sent_at, SimTime::ZERO);
         let a1 = ack_of(&drive(&mut rx, data(1), SimTime::from_millis(11)));
         assert_eq!(a1.cum_ack, 2);
-        assert_eq!(a1.recv_bytes, 3000);
+        assert_eq!(rx.recv_bytes(), 3000);
     }
 
     #[test]

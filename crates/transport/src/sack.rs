@@ -10,6 +10,15 @@
 //! * **Timeout**: any transmission (including retransmissions, whose
 //!   sequence-based detection would be ambiguous) is lost once it has been
 //!   outstanding longer than the supplied RTO.
+//!
+//! Both rules run on every ACK, so each costs amortised O(1) per packet
+//! rather than a sweep of the window. The reordering rule resumes where its
+//! last scan stopped. The timeout rule splits transmissions in two:
+//! original sends leave in sequence order at nondecreasing times, so a
+//! cursor walks them oldest first and stops at the first one that has not
+//! expired; retransmissions, which can target any sequence, are queued in
+//! send order and popped while expired. Each entry and each queued
+//! retransmission is passed over once, whatever the RTO does between calls.
 
 use std::collections::VecDeque;
 
@@ -65,13 +74,20 @@ pub struct Scoreboard {
     losses: u64,
     /// Reordering threshold in packets.
     dup_thresh: u64,
-    /// Conservative lower bound on the oldest `Outstanding` entry's
-    /// `last_sent_at` (never later than the true minimum, possibly
-    /// earlier once that entry resolves). Lets [`Scoreboard::detect_losses`]
-    /// skip its timeout sweep entirely while nothing can have timed out —
-    /// the sweep itself refreshes the bound, so a stale value costs at
-    /// most one extra sweep per RTO. `None` until the first send.
-    timeout_floor: Option<SimTime>,
+    /// The timeout rule's cursor over original transmissions: no sequence
+    /// below it is an `Outstanding` original (`retx_count == 0`). An entry
+    /// never becomes one again once it is acked, lost or retransmitted, and
+    /// originals are sent in sequence order at nondecreasing times, so the
+    /// rule walks forward from here and stops at the first original that
+    /// has not expired — every later original was sent no earlier.
+    timeout_cursor: u64,
+    /// `(sent_at, seq)` of every retransmission, in send order (so also in
+    /// time order), for the timeout rule to pop once expired. A popped
+    /// record still describes its entry only if that entry is
+    /// `Outstanding` with `last_sent_at == sent_at`; otherwise the entry
+    /// was acked, lost or retransmitted again since, and the record is
+    /// stale. Holds at most the retransmissions of the last RTO.
+    retx_sends: VecDeque<(SimTime, u64)>,
     /// Sequences below this have already been judged by the reordering
     /// rule. Once a scan reaches a cutoff, no entry below it can ever
     /// qualify again (originals there were marked `Lost` on the spot and
@@ -81,6 +97,10 @@ pub struct Scoreboard {
     /// ACK rescan the whole outstanding window, turning a loss-heavy run
     /// quadratic.
     reorder_floor: u64,
+    /// Entries and queued retransmissions the timeout rule has looked at,
+    /// over the scoreboard's lifetime.
+    #[cfg(test)]
+    timeout_visits: u64,
 }
 
 impl Default for Scoreboard {
@@ -100,8 +120,11 @@ impl Scoreboard {
             in_flight: 0,
             losses: 0,
             dup_thresh: 3,
-            timeout_floor: None,
+            timeout_cursor: 0,
+            retx_sends: VecDeque::new(),
             reorder_floor: 0,
+            #[cfg(test)]
+            timeout_visits: 0,
         }
     }
 
@@ -124,10 +147,6 @@ impl Scoreboard {
     /// Record a transmission of `seq` at `now`. New sequences must be sent
     /// in order; retransmissions may target any outstanding sequence.
     pub fn on_send(&mut self, seq: u64, now: SimTime, retx: bool) {
-        self.timeout_floor = Some(match self.timeout_floor {
-            Some(floor) => floor.min(now),
-            None => now,
-        });
         if !retx {
             assert_eq!(seq, self.high_seq, "new data must be sent in order");
             self.entries.push_back(SeqEntry {
@@ -147,6 +166,7 @@ impl Scoreboard {
             e.state = SeqState::Outstanding;
             e.last_sent_at = now;
             e.retx_count += 1;
+            self.retx_sends.push_back((now, seq));
         }
     }
 
@@ -199,80 +219,106 @@ impl Scoreboard {
     /// Returns the newly lost sequences (oldest first); the caller should
     /// queue them for retransmission.
     ///
-    /// This runs on every ACK, so both rules are bounded instead of
-    /// sweeping the whole window each call: reorder candidates all sit in
-    /// the SACK-hole region `[base, dup_cutoff)` (empty for an in-order
-    /// flow), and the timeout sweep is skipped while `timeout_floor`
-    /// proves nothing has been outstanding for an RTO yet.
+    /// This runs on every ACK, so neither rule sweeps the window: reorder
+    /// candidates all sit in the SACK-hole region `[base, dup_cutoff)`
+    /// past the last scan (empty for an in-order flow), and the timeout
+    /// rule walks its cursor over originals and pops its queue of
+    /// retransmissions only as far as they have expired.
     pub fn detect_losses(&mut self, now: SimTime, rto: SimDuration) -> Vec<u64> {
         let mut lost = Vec::new();
-        // Reordering rule: only *original* transmissions below the SACK
-        // frontier minus DupThresh qualify, and everything below `base` is
-        // acked — so the candidates live in `[base, dup_cutoff)`.
+        self.expire_reordered(&mut lost);
+        self.expire_originals(now, rto, &mut lost);
+        self.expire_retransmissions(now, rto, &mut lost);
+        // Each pass emits in ascending order except the retransmission
+        // queue, which pops in send order; restore the global oldest-first
+        // contract when the passes interleave.
+        if !lost.is_sorted() {
+            lost.sort_unstable();
+        }
+        lost
+    }
+
+    /// Mark `seq` (tracked, `Outstanding`) lost.
+    fn declare_lost(&mut self, seq: u64, lost: &mut Vec<u64>) {
+        let i = (seq - self.base) as usize;
+        self.entries[i].state = SeqState::Lost;
+        self.in_flight -= 1;
+        self.losses += 1;
+        lost.push(seq);
+    }
+
+    /// Reordering rule: only *original* transmissions below the SACK
+    /// frontier minus DupThresh qualify, and everything below `base` is
+    /// acked — so the candidates live in `[base, dup_cutoff)`.
+    fn expire_reordered(&mut self, lost: &mut Vec<u64>) {
         let dup_cutoff = self.high_sacked.saturating_sub(self.dup_thresh);
         let start = self.base.max(self.reorder_floor);
         if dup_cutoff > start {
-            let skip = (start - self.base) as usize;
-            let end = ((dup_cutoff - self.base) as usize).min(self.entries.len());
-            for (i, e) in self.entries.iter_mut().enumerate().take(end).skip(skip) {
+            let end = dup_cutoff.min(self.high_seq);
+            for seq in start..end {
+                let e = &self.entries[(seq - self.base) as usize];
                 if e.state == SeqState::Outstanding && e.retx_count == 0 {
-                    e.state = SeqState::Lost;
-                    self.in_flight -= 1;
-                    self.losses += 1;
-                    lost.push(self.base + i as u64);
+                    self.declare_lost(seq, lost);
                 }
             }
-            self.reorder_floor = self.base + end as u64;
+            self.reorder_floor = end;
         }
-        // Timeout rule (covers retransmissions the reorder rule cannot
-        // judge): sweep only when the floor says a timeout is possible,
-        // and refresh the floor from what the sweep actually saw.
-        let timeout_possible = match self.timeout_floor {
-            Some(floor) => now.saturating_since(floor) >= rto,
-            None => false,
-        };
-        if timeout_possible {
-            let had_reorder_losses = !lost.is_empty();
-            let mut new_floor: Option<SimTime> = None;
-            for (i, e) in self.entries.iter_mut().enumerate() {
-                if e.state != SeqState::Outstanding {
-                    continue;
-                }
-                if now.saturating_since(e.last_sent_at) >= rto {
-                    e.state = SeqState::Lost;
-                    self.in_flight -= 1;
-                    self.losses += 1;
-                    lost.push(self.base + i as u64);
-                } else {
-                    new_floor = Some(match new_floor {
-                        Some(f) => f.min(e.last_sent_at),
-                        None => e.last_sent_at,
-                    });
-                }
+    }
+
+    /// Timeout rule over original transmissions: advance the cursor past
+    /// entries that are no longer outstanding originals, declaring expired
+    /// ones lost, and stop at the first original that has not expired.
+    fn expire_originals(&mut self, now: SimTime, rto: SimDuration, lost: &mut Vec<u64>) {
+        let mut seq = self.timeout_cursor.max(self.base);
+        while seq < self.high_seq {
+            #[cfg(test)]
+            {
+                self.timeout_visits += 1;
             }
-            self.timeout_floor = new_floor;
-            // The two passes each emit in ascending order; restore the
-            // global oldest-first contract when both contributed.
-            if had_reorder_losses {
-                lost.sort_unstable();
+            let e = &self.entries[(seq - self.base) as usize];
+            if e.state == SeqState::Outstanding && e.retx_count == 0 {
+                if now.saturating_since(e.last_sent_at) < rto {
+                    break;
+                }
+                self.declare_lost(seq, lost);
+            }
+            seq += 1;
+        }
+        self.timeout_cursor = seq;
+    }
+
+    /// Timeout rule over retransmissions: pop every expired record and
+    /// declare its entry lost if the record still describes it.
+    fn expire_retransmissions(&mut self, now: SimTime, rto: SimDuration, lost: &mut Vec<u64>) {
+        while let Some(&(sent_at, seq)) = self.retx_sends.front() {
+            if now.saturating_since(sent_at) < rto {
+                break;
+            }
+            self.retx_sends.pop_front();
+            #[cfg(test)]
+            {
+                self.timeout_visits += 1;
+            }
+            if matches!(self.entry(seq), Some(e)
+                if e.state == SeqState::Outstanding && e.last_sent_at == sent_at)
+            {
+                self.declare_lost(seq, lost);
             }
         }
-        lost
     }
 
     /// Declare every outstanding packet lost (used on RTO).
     pub fn mark_all_lost(&mut self) -> Vec<u64> {
         let mut lost = Vec::new();
-        for i in 0..self.entries.len() {
-            let seq = self.base + i as u64;
-            let e = &mut self.entries[i];
-            if e.state == SeqState::Outstanding {
-                e.state = SeqState::Lost;
-                self.in_flight -= 1;
-                self.losses += 1;
-                lost.push(seq);
+        for seq in self.base..self.high_seq {
+            if self.entries[(seq - self.base) as usize].state == SeqState::Outstanding {
+                self.declare_lost(seq, &mut lost);
             }
         }
+        // Nothing is outstanding any more: no original is left for the
+        // cursor and every queued retransmission record is stale.
+        self.timeout_cursor = self.high_seq;
+        self.retx_sends.clear();
         lost
     }
 
@@ -300,15 +346,6 @@ impl Scoreboard {
         None
     }
 
-    /// Send time of the oldest outstanding transmission.
-    pub fn oldest_outstanding_sent_at(&self) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .filter(|e| e.state == SeqState::Outstanding)
-            .map(|e| e.last_sent_at)
-            .min()
-    }
-
     /// True when every sequence below `upper` has been acked.
     pub fn all_acked_below(&self, upper: u64) -> bool {
         if self.base >= upper {
@@ -334,6 +371,13 @@ impl Scoreboard {
     /// cap as a leak tripwire.
     pub fn tracked(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Retransmission records queued for the timeout rule. Bounded by the
+    /// retransmissions of the last RTO; the engine checks it against the
+    /// same leak tripwire as [`Scoreboard::tracked`].
+    pub fn queued_retransmissions(&self) -> usize {
+        self.retx_sends.len()
     }
 
     /// Cumulative-ack point (all sequences below are acked and pruned —
@@ -376,6 +420,7 @@ impl Scoreboard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -387,7 +432,6 @@ mod tests {
             cum_ack,
             echo_sent_at: sent_at,
             recv_at: SimTime::ZERO,
-            recv_bytes: 0,
             probe_train: None,
             of_retx: false,
         }
@@ -557,6 +601,119 @@ mod tests {
         assert!(sb.all_acked_below(1));
         assert!(!sb.all_acked_below(5), "seqs 1..5 never sent");
     }
+
+    impl Scoreboard {
+        /// Reference model of [`Scoreboard::detect_losses`]: the same
+        /// reordering rule, then the timeout rule as a sweep of the whole
+        /// window declaring every `Outstanding` entry that has been in
+        /// flight for `rto` lost.
+        pub(super) fn detect_losses_by_sweep(
+            &mut self,
+            now: SimTime,
+            rto: SimDuration,
+        ) -> Vec<u64> {
+            let mut lost = Vec::new();
+            self.expire_reordered(&mut lost);
+            for seq in self.base..self.high_seq {
+                let e = &self.entries[(seq - self.base) as usize];
+                if e.state == SeqState::Outstanding && now.saturating_since(e.last_sent_at) >= rto {
+                    self.declare_lost(seq, &mut lost);
+                }
+            }
+            lost.sort_unstable();
+            lost
+        }
+    }
+
+    /// Drive `sb` the way a rate-mode sender does: one original every
+    /// `gap`, each SACKed (with the receiver's cumulative point) one `rtt`
+    /// later, and after every ACK a loss scan whose losses are
+    /// retransmitted on the spot. Originals with `seq % 100 == 37` are
+    /// dropped (1% holes, which the reordering rule finds), and so is the
+    /// first retransmission of every third hole, which only the timeout
+    /// rule can find. Returns every scan's losses, in order.
+    fn rate_mode_ack_clock(
+        sb: &mut Scoreboard,
+        acks: u64,
+        rtt: SimDuration,
+        gap: SimDuration,
+        mut scan: impl FnMut(&mut Scoreboard, SimTime) -> Vec<u64>,
+    ) -> Vec<Vec<u64>> {
+        let mut scans = Vec::new();
+        // `(arrive_at, seq, sent_at)`, in arrival order: every packet
+        // takes exactly `rtt`.
+        let mut arrivals: VecDeque<(SimTime, u64, SimTime)> = VecDeque::new();
+        let mut received: Vec<bool> = Vec::new();
+        let mut cum = 0u64;
+        let mut next_send = SimTime::ZERO;
+        while (scans.len() as u64) < acks {
+            match arrivals.front() {
+                Some(&(now, seq, sent_at)) if now <= next_send => {
+                    arrivals.pop_front();
+                    received[seq as usize] = true;
+                    while received.get(cum as usize) == Some(&true) {
+                        cum += 1;
+                    }
+                    let info = AckInfo {
+                        acked_seq: seq,
+                        cum_ack: cum,
+                        echo_sent_at: sent_at,
+                        recv_at: now,
+                        probe_train: None,
+                        of_retx: sb.retx_count(seq) > 0,
+                    };
+                    sb.on_ack(&info, now);
+                    let lost = scan(sb, now);
+                    for &seq in &lost {
+                        sb.on_send(seq, now, true);
+                        if !(seq % 300 == 37 && sb.retx_count(seq) == 1) {
+                            arrivals.push_back((now + rtt, seq, now));
+                        }
+                    }
+                    scans.push(lost);
+                }
+                _ => {
+                    let (now, seq) = (next_send, sb.next_seq());
+                    sb.on_send(seq, now, false);
+                    received.push(false);
+                    if seq % 100 != 37 {
+                        arrivals.push_back((now + rtt, seq, now));
+                    }
+                    next_send = now + gap;
+                }
+            }
+        }
+        scans
+    }
+
+    #[test]
+    fn timeout_rule_visits_a_constant_number_of_entries_per_ack() {
+        // PCC's rate mode: RTO = 1.05 × RTT, a 250-packet window.
+        let rtt = SimDuration::from_millis(30);
+        let rto = SimDuration::from_nanos(rtt.as_nanos() * 105 / 100);
+        let gap = SimDuration::from_nanos(rtt.as_nanos() / 250);
+        let acks = 10_000;
+        let mut sb = Scoreboard::new();
+        let scans = rate_mode_ack_clock(&mut sb, acks, rtt, gap, |sb, now| {
+            sb.detect_losses(now, rto)
+        });
+        let mut reference = Scoreboard::new();
+        let expected = rate_mode_ack_clock(&mut reference, acks, rtt, gap, |sb, now| {
+            sb.detect_losses_by_sweep(now, rto)
+        });
+        assert_eq!(scans, expected, "same losses as the full sweep");
+        let declared = scans.iter().map(Vec::len).sum::<usize>();
+        let distinct = scans.iter().flatten().collect::<BTreeSet<_>>().len();
+        assert!(
+            declared > distinct,
+            "the run times out retransmissions, so it exercises the queue"
+        );
+        let per_ack = sb.timeout_visits as f64 / acks as f64;
+        assert!(
+            per_ack <= 3.0,
+            "{per_ack:.2} visits per ACK; the sweep would pass over the ~250-packet window"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -588,7 +745,6 @@ mod proptests {
                                     cum_ack: seq + 1,
                                     echo_sent_at: now,
                                     recv_at: now,
-                                    recv_bytes: 0,
                                     probe_train: None,
                                     of_retx: false,
                                 };
@@ -619,6 +775,84 @@ mod proptests {
                     .count() as u64;
                 prop_assert!(sb.in_flight() <= unacked);
                 prop_assert!(sb.high_sacked() <= sb.next_seq());
+            }
+        }
+
+        /// The cursor over originals and the queue of retransmissions
+        /// declare exactly what a sweep of the whole window declares,
+        /// under random sends, retransmissions, SACKs with holes,
+        /// cumulative acks, RTO firings and scans whose RTO grows and
+        /// shrinks from call to call.
+        #[test]
+        fn timeout_rule_matches_the_full_sweep(
+            script in proptest::collection::vec((0u8..12, 0u64..64, 0u64..48), 1..600),
+        ) {
+            let mut fast = Scoreboard::new();
+            let mut reference = Scoreboard::new();
+            let mut now = SimTime::ZERO;
+            for (op, a, b) in script {
+                // Steps of 0–3 ms: some events share an instant.
+                now += SimDuration::from_millis(b % 4);
+                let window = fast.next_seq() - fast.cum_ack();
+                match op {
+                    0..=3 => {
+                        let seq = fast.next_seq();
+                        fast.on_send(seq, now, false);
+                        reference.on_send(seq, now, false);
+                    }
+                    4 => {
+                        // Retransmit one of the sequences marked lost, as
+                        // the engine does.
+                        let lost = fast.lost_seqs();
+                        if !lost.is_empty() {
+                            let seq = lost[a as usize % lost.len()];
+                            fast.on_send(seq, now, true);
+                            reference.on_send(seq, now, true);
+                        }
+                    }
+                    5 if window > 0 => {
+                        // Retransmit any unacked sequence, outstanding
+                        // ones too: the earlier record goes stale.
+                        let seq = fast.cum_ack() + a % window;
+                        if !fast.is_acked(seq) {
+                            fast.on_send(seq, now, true);
+                            reference.on_send(seq, now, true);
+                        }
+                    }
+                    6..=8 if window > 0 => {
+                        // SACK any tracked sequence; a third of the ACKs
+                        // also move the cumulative point, over holes too.
+                        let seq = fast.cum_ack() + a % window;
+                        let cum_ack = if b % 3 == 0 {
+                            fast.cum_ack() + a % (window + 1)
+                        } else {
+                            fast.cum_ack()
+                        };
+                        let info = AckInfo {
+                            acked_seq: seq,
+                            cum_ack,
+                            echo_sent_at: now,
+                            recv_at: now,
+                            probe_train: None,
+                            of_retx: false,
+                        };
+                        fast.on_ack(&info, now);
+                        reference.on_ack(&info, now);
+                    }
+                    11 if a == 0 => {
+                        prop_assert_eq!(fast.mark_all_lost(), reference.mark_all_lost());
+                    }
+                    _ => {
+                        let rto = SimDuration::from_millis(1 + b);
+                        prop_assert_eq!(
+                            fast.detect_losses(now, rto),
+                            reference.detect_losses_by_sweep(now, rto)
+                        );
+                    }
+                }
+                prop_assert_eq!(fast.in_flight(), reference.in_flight());
+                prop_assert_eq!(fast.total_losses(), reference.total_losses());
+                prop_assert_eq!(fast.lost_seqs(), reference.lost_seqs());
             }
         }
     }

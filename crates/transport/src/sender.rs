@@ -217,11 +217,6 @@ impl CcSender {
         }
     }
 
-    /// The algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// Current pacing rate in bits/sec, if the algorithm drives one.
     pub fn rate_bps(&self) -> Option<f64> {
         self.rate_bps
@@ -933,9 +928,12 @@ impl Endpoint for CcSender {
         );
         self.last_cum_ack = self.sb.cum_ack();
         debug_assert!(
-            (self.sb.tracked() as u64) <= self.cfg.max_in_flight.saturating_mul(2) + 64,
-            "scoreboard leak: {} entries tracked against an in-flight cap of {}",
+            (self.sb.tracked().max(self.sb.queued_retransmissions()) as u64)
+                <= self.cfg.max_in_flight.saturating_mul(2) + 64,
+            "scoreboard leak: {} entries tracked and {} retransmissions queued \
+             against an in-flight cap of {}",
             self.sb.tracked(),
+            self.sb.queued_retransmissions(),
             self.cfg.max_in_flight
         );
         let resuming = out.newly_acked > 0 && self.timeouts_since_progress >= RESUME_TIMEOUTS;
@@ -1800,7 +1798,6 @@ mod tests {
                     cum_ack: seq + 1,
                     echo_sent_at: SimTime::from_millis(seq),
                     recv_at: now,
-                    recv_bytes: 0,
                     probe_train: None,
                     of_retx: false,
                 };

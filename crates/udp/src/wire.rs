@@ -58,15 +58,13 @@ impl AckPacket {
         }
     }
 
-    /// The ACK metadata the sender engine consumes. The receiver's byte
-    /// count does not travel on the wire.
+    /// The ACK metadata the sender engine consumes.
     pub fn info(&self) -> AckInfo {
         AckInfo {
             acked_seq: self.acked_seq,
             cum_ack: self.cum_ack,
             echo_sent_at: SimTime::from_nanos(self.echo_sent_us.saturating_mul(1_000)),
             recv_at: SimTime::from_nanos(self.recv_us.saturating_mul(1_000)),
-            recv_bytes: 0,
             probe_train: self.probe_train,
             of_retx: self.of_retx,
         }
